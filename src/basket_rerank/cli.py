@@ -248,7 +248,11 @@ def read_baskets_tsv(path: str) -> dict[str, list[str]]:
             if len(parts) != 4:
                 raise DataError(f"{path}:{lineno}: expected 4 fields")
             uid, rank, item, _flag = parts
-            out.setdefault(uid, []).append((int(rank), item))
+            try:
+                position = int(rank)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad rank {rank!r}") from exc
+            out.setdefault(uid, []).append((position, item))
     return {u: [item for _, item in sorted(rows)] for u, rows in out.items()}
 
 
@@ -288,6 +292,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_score(args) -> int:
     import os
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
     train = load_baskets(args.train, "jsonl")
     reps = build_repeat_sets(train)
     if args.dry_run:
@@ -452,7 +458,11 @@ def _cmd_report(args) -> int:
     reports = []
     for path in args.reports:
         with open(path, encoding="utf-8") as fh:
-            reports.append((path, MetricsReport.from_dict(json.load(fh))))
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8
+                raise DataError(f"{path}: not a JSON file: {exc}") from exc
+        reports.append((path, MetricsReport.from_dict(payload, source=path)))
     ks = {r.config.get("k") for _, r in reports}
     omegas = {r.config.get("omega") for _, r in reports}
     if len(ks) > 1:

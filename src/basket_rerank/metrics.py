@@ -18,6 +18,9 @@ from .solver import RerankedBaskets
 
 LOG_DP_DELTA = 1e-9
 
+_REPORT_METRICS = ("recall", "ds", "log_dp", "rep_ratio_rec", "rep_bias",
+                   "m_fr", "m_dr", "n_users")
+
 
 @dataclass
 class MetricsReport:
@@ -47,7 +50,18 @@ class MetricsReport:
         return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
+    def from_dict(cls, d: dict, source: str = "report") -> "MetricsReport":
+        """Rebuild a report from ``to_dict`` output; DataError when ``d``
+        lacks a metric or holds a non-numeric one."""
+        if not isinstance(d, dict):
+            raise DataError(f"{source}: not a metrics report (a JSON object)")
+        for key in _REPORT_METRICS:
+            if key not in d:
+                raise DataError(f"{source}: metrics report lacks {key!r}")
+            if not isinstance(d[key], (int, float)):
+                raise DataError(f"{source}: {key!r} is not a number: {d[key]!r}")
+        if not isinstance(d.get("config", {}), dict):
+            raise DataError(f"{source}: 'config' is not a JSON object")
         return cls(recall=d["recall"], ds=d["ds"], log_dp=d["log_dp"],
                    rep_ratio_rec=d["rep_ratio_rec"], rep_bias=d["rep_bias"],
                    m_fr=d["m_fr"], m_dr=d["m_dr"], n_users=d["n_users"],
@@ -103,8 +117,12 @@ def group_exposure(baskets, groups: ItemGroups, exposure: ExposureModel
     for basket in lists.values():
         for pos, item in enumerate(basket, start=1):
             item_exposure[item] = item_exposure.get(item, 0.0) + exposure.weight(pos)
-    e1 = sum(item_exposure.get(i, 0.0) for i in groups.popular) / len(groups.popular)
-    e2 = sum(item_exposure.get(i, 0.0) for i in groups.unpopular) / len(groups.unpopular)
+    # fsum is exactly rounded, so the totals do not depend on the order in
+    # which the group sets iterate (which varies with the string hash seed)
+    e1 = math.fsum(v for i, v in item_exposure.items()
+                   if i in groups.popular) / len(groups.popular)
+    e2 = math.fsum(v for i, v in item_exposure.items()
+                   if i in groups.unpopular) / len(groups.unpopular)
     return e1, e2
 
 
@@ -173,19 +191,6 @@ def evaluate(baskets, targets: SplitDataset, reps: RepeatSets,
                          rep_ratio_rec=rep_rec, rep_bias=rep_bias,
                          m_fr=m_fr, m_dr=m_dr, n_users=len(lists),
                          config=cfg.snapshot(), per_user=breakdown)
-
-
-def write_curve_csv(param: str, points: list[tuple[float, MetricsReport]],
-                    path: str) -> None:
-    """Plot-ready trade-off curve: one row per swept parameter value."""
-    import csv
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["param", "value", "recall", "ds", "logdp",
-                         "repratio"])
-        for value, report in points:
-            writer.writerow([param, value, report.recall, report.ds,
-                             report.log_dp, report.rep_ratio_rec])
 
 
 def report_table(reports: list[tuple[str, MetricsReport]]) -> str:

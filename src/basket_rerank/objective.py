@@ -64,6 +64,14 @@ class RerankConfig:
     log_base: float = math.e
 
     def __post_init__(self) -> None:
+        if self.k < 1:
+            raise UsageError(f"K must be at least 1, got {self.k}")
+        for name in ("epsilon", "alpha", "lam", "theta", "omega",
+                     "recall_tolerance", "log_base"):
+            if not math.isfinite(getattr(self, name)):
+                raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.log_base <= 0 or self.log_base == 1:
+            raise UsageError(f"log base must be > 0 and != 1, got {self.log_base}")
         if self.k > self.n:
             raise UsageError(f"K ({self.k}) must not exceed N ({self.n})")
         if min(self.epsilon, self.alpha, self.lam) < 0:
@@ -241,19 +249,31 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
         objective_kind=cfg.objective_kind)
 
 
-def ranked_selection(problem: RerankProblem, selection: list[str]) -> list[str]:
-    """Order selected items by relevance desc, id asc (basket positions)."""
-    idx = {item: j for j, item in enumerate(problem.items)}
+def _item_index(problem: RerankProblem) -> dict[str, int]:
+    return {item: j for j, item in enumerate(problem.items)}
+
+
+def ranked_selection(problem: RerankProblem, selection: list[str],
+                     idx: dict[str, int] | None = None) -> list[str]:
+    """Order selected items by relevance desc, id asc (basket positions).
+
+    ``idx`` is the problem's item -> candidate index map, built here when
+    the caller has none.
+    """
+    if idx is None:
+        idx = _item_index(problem)
     missing = [i for i in selection if i not in idx]
     if missing:
         raise UsageError(f"selection contains non-candidates: {missing[:3]}")
     return sorted(selection, key=lambda i: (-problem.relevance[idx[i]], i))
 
 
-def check_slots(problem: RerankProblem, selection: list[str]) -> None:
+def check_slots(problem: RerankProblem, selection: list[str],
+                idx: dict[str, int]) -> None:
+    """Reject duplicate items and selections that break the slot counts;
+    ``idx`` maps each candidate item to its index in the problem."""
     if len(set(selection)) != len(selection):
         raise UsageError("selection contains duplicates")
-    idx = {item: j for j, item in enumerate(problem.items)}
     n_rep = sum(1 for i in selection if i in idx and problem.is_repeat[idx[i]])
     n_exp = len(selection) - n_rep
     if problem.kind == "unified":
@@ -273,9 +293,9 @@ def objective_value(problem: RerankProblem, selection: list[str]) -> float:
     Selection order is irrelevant: in-basket positions are recomputed from
     relevance before exposure weights apply.
     """
-    check_slots(problem, selection)
-    idx = {item: j for j, item in enumerate(problem.items)}
-    ranked = ranked_selection(problem, selection)
+    idx = _item_index(problem)
+    check_slots(problem, selection, idx)
+    ranked = ranked_selection(problem, selection, idx)
 
     rel_sum = 0.0
     fair_sum = 0.0

@@ -3,13 +3,16 @@
 A CandidateSet is either *unified* (one score list per user) or *combined*
 (separate repeat and explore lists whose scores are not comparable).
 Every emitted list is sorted by score descending with item-id-ascending
-ties and truncated to the top N.
+ties and truncated to the top N. Explore lists all come from one global
+popularity ranking: each user's list is its first N items the user has not
+bought before.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .dataset import BasketDataset, RepeatSets
 from .errors import DataError
@@ -42,7 +45,7 @@ class CandidateSet:
 
 def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
     per_user: dict[str, ScoreList] = {}
-    seen: set[tuple[str, str]] = set()
+    seen: dict[str, set[str]] = {}  # items per user, for the duplicate check
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -58,10 +61,14 @@ def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
                 raise DataError(f"{path}:{lineno}: bad score {raw!r}") from exc
             if not math.isfinite(score):
                 raise DataError(f"{path}:{lineno}: non-finite score for ({uid},{item})")
-            if (uid, item) in seen:
+            user_items = seen.get(uid)
+            if user_items is None:
+                user_items = seen[uid] = set()
+                per_user[uid] = []
+            elif item in user_items:
                 raise DataError(f"{path}:{lineno}: duplicate (user,item) row ({uid},{item})")
-            seen.add((uid, item))
-            per_user.setdefault(uid, []).append((item, score))
+            user_items.add(item)
+            per_user[uid].append((item, score))
     if not per_user:
         raise DataError(f"{path}: no score rows")
     return per_user
@@ -122,17 +129,24 @@ def score_repeat_topfreq(train: BasketDataset, reps: RepeatSets, n: int = 100
 
 def score_explore_popularity(train: BasketDataset, reps: RepeatSets, n: int = 100
                              ) -> dict[str, ScoreList]:
-    """Global popularity normalized by the max count, over unseen items only."""
+    """Global popularity normalized by the max count, over unseen items only.
+
+    The vocabulary is ranked once; each user's list is the first ``n``
+    items of that ranking outside the user's repeat set. The score is
+    strictly increasing in the count, so ranking by (-count, id) is the
+    (-score, id) order of ``rank_pairs``.
+    """
     counts: Counter[str] = Counter()
     for u in train.users:
         for b in u.baskets:
             counts.update(b)
     max_count = max(counts.values())
+    ranking = [(i, c / max_count)
+               for i, c in sorted(counts.items(), key=lambda p: (-p[1], p[0]))]
     out: dict[str, ScoreList] = {}
     for u in train.users:
         rep = reps.get(u.user_id, frozenset())
-        pairs = [(i, c / max_count) for i, c in counts.items() if i not in rep]
-        out[u.user_id] = rank_pairs(pairs, n)
+        out[u.user_id] = list(islice((p for p in ranking if p[0] not in rep), n))
     return out
 
 

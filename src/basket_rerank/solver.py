@@ -64,11 +64,15 @@ class RerankedBaskets:
         return {u: list(s.items) for u, s in self.baskets.items()}
 
 
-def _pool_of(problem: RerankProblem, j: int) -> int:
-    # unified problems use a single pool; combined split by repeat flag
+def _pools(problem: RerankProblem) -> list[list[int]]:
+    """Candidate indices of pool 0 and pool 1, in candidate order: unified
+    problems use a single pool; combined ones split by repeat flag."""
     if problem.kind == "unified":
-        return 0
-    return 0 if problem.is_repeat[j] else 1
+        return [list(range(problem.n_candidates)), []]
+    pools: list[list[int]] = [[], []]
+    for j, rep in enumerate(problem.is_repeat):
+        pools[0 if rep else 1].append(j)
+    return pools
 
 
 def _quotas(problem: RerankProblem) -> list[int]:
@@ -90,35 +94,37 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
         raise UsageError("linear solver requires uniform exposure when the "
                          "fairness term is active")
     start = time.perf_counter()
-    n = problem.n_candidates
     adj = _adjusted_values(problem, fold_fairness=True)
-    quotas = _quotas(problem)
+    items = problem.items
     chosen: list[int] = []
-    for p, quota in enumerate(quotas):
-        pool = [j for j in range(n) if _pool_of(problem, j) == p]
-        pool.sort(key=lambda j: (-adj[j], problem.items[j]))
+    for p, (pool, quota) in enumerate(zip(_pools(problem), _quotas(problem))):
         if len(pool) < quota:
             raise SolverError(
                 f"user {problem.user_id!r}: pool {p} has {len(pool)} candidates "
                 f"for {quota} slots")
+        pool.sort(key=lambda j: (-adj[j], items[j]))
         chosen.extend(pool[:quota])
-    items = ranked_selection(problem, [problem.items[j] for j in chosen])
-    obj = objective_value(problem, items)
-    return Selection(problem.user_id, items, obj, "topk_linear", True,
+    # basket positions: relevance desc, id asc, as in ranked_selection
+    chosen.sort(key=lambda j: (-problem.relevance[j], items[j]))
+    selected = [items[j] for j in chosen]
+    obj = objective_value(problem, selected)
+    return Selection(problem.user_id, selected, obj, "topk_linear", True,
                      wall_time=time.perf_counter() - start)
 
 
 def _adjusted_values(problem: RerankProblem, fold_fairness: bool) -> list[float]:
     """Per-item position-independent contribution."""
-    k = problem.k
+    rel_scale, alpha = problem.rel_scale, problem.alpha_eff
+    repeat_term = problem.signed_lambda / problem.k
     out = []
-    for j in range(problem.n_candidates):
-        v = problem.rel_scale * problem.relevance[j]
-        if problem.is_repeat[j]:
-            v += problem.signed_lambda / k
+    for rel, rep, coef in zip(problem.relevance, problem.is_repeat,
+                              problem.fairness_coef):
+        v = rel_scale * rel
+        if rep:
+            v += repeat_term
         if fold_fairness:
             # only valid under uniform exposure (e(p) == 1)
-            v -= problem.alpha_eff * problem.fairness_coef[j]
+            v -= alpha * coef
         out.append(v)
     return out
 
@@ -136,7 +142,9 @@ class _Instance:
             raise SolverError(
                 f"user {problem.user_id!r}: {self.total} slots but only "
                 f"{n} candidates")
-        self.pool = [_pool_of(problem, j) for j in range(n)]
+        self.pool = [0] * n
+        for j in _pools(problem)[1]:
+            self.pool[j] = 1
         # position-dependent fairness only when exposure varies with rank
         self.pd = problem.alpha_eff != 0.0 and problem.exposure.kind != "uniform"
         self.adj = _adjusted_values(problem, fold_fairness=not self.pd)
@@ -304,13 +312,9 @@ def _greedy_seed(problem: RerankProblem, inst: _Instance
 
 
 def _combination_count(problem: RerankProblem) -> int:
-    quotas = _quotas(problem)
-    counts = [0, 0]
-    for j in range(problem.n_candidates):
-        counts[_pool_of(problem, j)] += 1
     total = 1
-    for p in (0, 1):
-        total *= math.comb(counts[p], quotas[p])
+    for pool, quota in zip(_pools(problem), _quotas(problem)):
+        total *= math.comb(len(pool), quota)
     return total
 
 
@@ -324,9 +328,7 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
             "branch_and_bound")
     start = time.perf_counter()
     quotas = _quotas(problem)
-    pools: list[list[int]] = [[], []]
-    for j in range(problem.n_candidates):
-        pools[_pool_of(problem, j)].append(j)
+    pools = _pools(problem)
 
     best_obj = -math.inf
     best_seq: tuple[str, ...] | None = None

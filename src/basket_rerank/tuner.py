@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .dataset import ItemGroups, RepeatSets, SplitDataset, ground_truth_repeat_ratio
@@ -32,15 +33,18 @@ class GridSpec:
     theta_grid: list[float] | None = None  # default: deciles of repeat scores
 
     def __post_init__(self) -> None:
-        for name in ("epsilon_grid", "alpha_grid", "lambda_grid"):
+        for name in ("epsilon_grid", "alpha_grid", "lambda_grid", "theta_grid"):
+            weights = name != "theta_grid"
             values = getattr(self, name)
-            if not values:
+            if values is None and not weights:
+                continue  # default: deciles of the repeat scores
+            if not values and weights:
                 raise UsageError(f"{name} is empty")
-            if any(v < 0 for v in values):
+            if not all(math.isfinite(v) for v in values):
+                raise UsageError(f"{name} contains non-finite values")
+            if weights and any(v < 0 for v in values):
                 raise UsageError(f"{name} contains negative values")
             setattr(self, name, sorted(set(values)))
-        if self.theta_grid is not None:
-            self.theta_grid = sorted(set(self.theta_grid))
 
 
 def theta_deciles(cands: CandidateSet) -> list[float]:

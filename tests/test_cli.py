@@ -1,9 +1,15 @@
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
 from basket_rerank.cli import main, read_baskets_tsv
 from tests.conftest import toy_path
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def run(capsys, *argv):
@@ -257,3 +263,98 @@ class TestIngestScore:
         from basket_rerank.scorer import import_scores
         cands = import_scores(str(out / "unified.tsv"), "unified", n=15)
         assert len(cands.user_ids) == 12
+
+
+def run_process(*argv, hash_seed="0"):
+    """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
+    proc = subprocess.run([sys.executable, "-m", "basket_rerank.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def write_text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def evaluate_args(baskets, *extra):
+    return ["evaluate", "--baskets", baskets, "--train", toy_path("train.jsonl"),
+            "--targets", toy_path("targets_test.jsonl"), "--k", "5", *extra]
+
+
+class TestBadInputExitCodes:
+    """Malformed numbers and files end with the documented exit code and a
+    one-line message, never a traceback."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "0"], "K must be at least 1"),
+        (["--epsilon", "nan"], "epsilon must be finite"),
+        (["--lambda", "inf"], "lam must be finite"),
+        (["--theta=-inf"], "theta must be finite"),
+        (["--log-base", "1"], "log base"),
+    ])
+    def test_rerank_numbers(self, tmp_path, flags, message):
+        got, _, err = run_process(*rerank_args(tmp_path / "b.tsv", *flags))
+        assert got == 1 and message in err and "Traceback" not in err
+
+    def test_tune_grid_nan(self, tmp_path):
+        got, _, err = run_process(
+            *TestTune().tune_args(tmp_path, "--epsilon-grid", "0,nan"))
+        assert got == 1 and "non-finite" in err and "Traceback" not in err
+
+    def test_score_n_zero(self, tmp_path):
+        got, _, err = run_process("score", "--train", toy_path("train.jsonl"),
+                                  "--n", "0", "--out", str(tmp_path))
+        assert got == 1 and "--n" in err and "Traceback" not in err
+
+    def test_evaluate_bad_rank(self, tmp_path):
+        baskets = write_text(tmp_path / "b.tsv", "u000\t1\ti000\t0\n"
+                                                 "u000\tsecond\ti001\t0\n")
+        got, _, err = run_process(*evaluate_args(baskets))
+        assert got == 2 and "b.tsv:2: bad rank" in err and "Traceback" not in err
+
+    def test_evaluate_k_zero(self, tmp_path):
+        baskets = write_text(tmp_path / "b.tsv", "u000\t1\ti000\t0\n")
+        got, _, err = run_process(*evaluate_args(baskets, "--k", "0"))
+        assert got == 1 and "K must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"recall": 1}', "lacks 'ds'"),
+        ("recall = 1\n", "not a JSON file"),
+        ("[1, 2]", "not a metrics report"),
+        ('{"recall": "high", "ds": 0, "log_dp": 0, "rep_ratio_rec": 0, '
+         '"rep_bias": 0, "m_fr": 0, "m_dr": 0, "n_users": 1}',
+         "'recall' is not a number"),
+    ])
+    def test_report_malformed(self, tmp_path, text, message):
+        path = write_text(tmp_path / "r.json", text)
+        got, _, err = run_process("report", path)
+        assert got == 2 and message in err and "Traceback" not in err
+
+
+def test_evaluate_report_independent_of_hash_seed(tmp_path):
+    # Group exposure sums over item sets, whose iteration order follows the
+    # string hash seed; the report must not.
+    rng = random.Random(3)
+    items = [f"i{j:03d}" for j in range(300)]
+    train, targets, baskets = [], [], []
+    for u in range(80):
+        uid = f"u{u:03d}"
+        history = [rng.sample(items, 8) for _ in range(3)]
+        train.append(json.dumps({"user_id": uid, "baskets": history}))
+        targets.append(json.dumps({"user_id": uid, "basket": rng.sample(items, 4),
+                                   "split": "test"}))
+        baskets += [f"{uid}\t{r}\t{i}\t0\n"
+                    for r, i in enumerate(rng.sample(items, 20), start=1)]
+    args = ["evaluate", "--train", write_text(tmp_path / "train.jsonl", "\n".join(train)),
+            "--targets", write_text(tmp_path / "t.jsonl", "\n".join(targets)),
+            "--baskets", write_text(tmp_path / "b.tsv", "".join(baskets)),
+            "--k", "20"]
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"report{seed}.json"
+        code, _, err = run_process(*args, "--out", str(out), hash_seed=seed)
+        assert code == 0, err
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]

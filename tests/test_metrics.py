@@ -197,23 +197,6 @@ class TestEvaluate:
         assert set(report.per_user) == set(lists)
 
 
-def test_curve_csv(tmp_path):
-    import csv
-    from basket_rerank.metrics import write_curve_csv
-    ds = make_synthetic_dataset(n_users=8, n_items=20, seed=5)
-    train, _, test, reps, groups, cands = pipeline_from_dataset(ds, seed=5, n=15)
-    cfg = RerankConfig(k=4, n=15)
-    report = rerank_and_evaluate(cands, test, reps, groups, train.categories,
-                                 cfg, rep_ratio_gt=0.4)
-    path = tmp_path / "curve.csv"
-    write_curve_csv("epsilon", [(0.0, report), (0.1, report)], str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [r["value"] for r in rows] == ["0.0", "0.1"]
-    assert all(r["param"] == "epsilon" for r in rows)
-    assert float(rows[0]["recall"]) == pytest.approx(report.recall)
-
-
 def test_report_table_formats():
     ds = make_synthetic_dataset(n_users=8, n_items=20, seed=5)
     train, _, test, reps, groups, cands = pipeline_from_dataset(ds, seed=5, n=15)

@@ -60,6 +60,16 @@ class TestRerankConfig:
         with pytest.raises(UsageError):
             RerankConfig(objective_kind="nope")
 
+    @pytest.mark.parametrize("bad", [
+        dict(k=0), dict(k=-1), dict(epsilon=math.nan), dict(alpha=math.inf),
+        dict(lam=math.inf), dict(lam=-math.inf), dict(theta=math.nan),
+        dict(omega=math.nan), dict(recall_tolerance=math.inf),
+        dict(log_base=math.nan), dict(log_base=1.0), dict(log_base=0.0),
+    ])
+    def test_bad_number_rejected(self, bad):
+        with pytest.raises(UsageError):
+            RerankConfig(**bad)
+
 
 class TestObjectiveValue:
     def test_pure_relevance_radiv_scaling(self):
@@ -111,6 +121,29 @@ class TestObjectiveValue:
                                   {}, cfg)
         with pytest.raises(UsageError):
             objective_value(p, ["a", "b", "c"])
+
+    @pytest.mark.parametrize("kind, selection, message", [
+        ("unified", ["a", "a"], "duplicates"),
+        ("unified", ["a", "a", "b"], "duplicates"),  # duplicates come first
+        ("unified", ["a"], "selection size 1 != slots 2"),
+        ("unified", ["a", "z", "y"], "selection size 3"),  # slots before candidates
+        ("unified", ["a", "z"], "non-candidates: \\['z'\\]"),
+        ("combined", ["x1", "x2"], r"slot violation: got \(0,2\), need \(1,1\)"),
+        ("combined", ["r1", "z"], "non-candidates"),
+    ])
+    def test_invalid_selection_rejected(self, kind, selection, message):
+        if kind == "unified":
+            p = build_unified_problem(
+                "u", unified_cands({"a": 0.9, "b": 0.5, "c": 0.1}), {},
+                groups_for("abc", "a"), {}, RerankConfig(k=2, n=3))
+        else:
+            p = build_combined_problem(
+                "u", combined_cands({"r1": 0.9, "r2": 0.1},
+                                    {"x1": 0.5, "x2": 0.4}),
+                {}, groups_for(["r1", "r2", "x1", "x2"], ["r1"]), {},
+                RerankConfig(k=2, n=4, theta=0.5))
+        with pytest.raises(UsageError, match=message):
+            objective_value(p, selection)
 
     def test_fairness_swap_invariant(self):
         # replacing an unpopular item by a popular one of equal relevance at

@@ -1,4 +1,7 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basket_rerank.dataset import build_repeat_sets
 from basket_rerank.errors import DataError
@@ -40,6 +43,15 @@ class TestImportScores:
     def test_duplicate_row_rejected(self, tmp_path):
         path = write_tsv(tmp_path, [("u1", "a", 0.5), ("u1", "a", 0.4)])
         with pytest.raises(DataError, match="duplicate"):
+            import_scores(path, "unified")
+
+    def test_duplicate_row_names_its_line(self, tmp_path):
+        # the same item for another user is not a duplicate; the repeat
+        # for u1 after rows of u2 is, on line 4
+        path = write_tsv(tmp_path, [("u1", "a", 0.5), ("u2", "a", 0.5),
+                                    ("u2", "b", 0.3), ("u1", "a", 0.4)])
+        with pytest.raises(DataError, match=r"scores\.tsv:4: duplicate "
+                                            r"\(user,item\) row \(u1,a\)"):
             import_scores(path, "unified")
 
     def test_combined_needs_two_files(self, tmp_path):
@@ -104,6 +116,41 @@ class TestBuiltinScorers:
         reps = build_repeat_sets(train)
         scores = score_explore_popularity(train, reps, 100)
         assert len(scores["u1"]) == 2  # only b and c are unseen
+
+
+def explore_per_user_reference(train, reps, n):
+    """The explore scorer's definition: rank every unseen item per user."""
+    counts = Counter(i for u in train.users for b in u.baskets for i in b)
+    top = max(counts.values())
+    return {u.user_id: rank_pairs(
+        [(i, c / top) for i, c in counts.items()
+         if i not in reps.get(u.user_id, frozenset())], n)
+        for u in train.users}
+
+
+ITEMS = [f"i{j}" for j in range(8)]
+USERS = [f"u{j}" for j in range(6)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(histories=st.dictionaries(
+           st.sampled_from(USERS),
+           st.lists(st.lists(st.sampled_from(ITEMS), min_size=1, max_size=6),
+                    min_size=1, max_size=4),
+           min_size=1),
+       reps=st.dictionaries(st.sampled_from(USERS),
+                            st.frozensets(st.sampled_from(ITEMS))),
+       n=st.one_of(st.sampled_from([0, 1, len(ITEMS) + 3]),
+                   st.integers(0, len(ITEMS) + 3)))
+def test_explore_matches_per_user_ranking(histories, reps, n):
+    # few items and small counts make ties in popularity the common case;
+    # drawn repeat sets may cover all of the vocabulary
+    train = make_ds(histories)
+    assert score_explore_popularity(train, reps, n) \
+        == explore_per_user_reference(train, reps, n)
+    own = build_repeat_sets(train)
+    assert score_explore_popularity(train, own, n) \
+        == explore_per_user_reference(train, own, n)
 
 
 class TestMakeUnified:

@@ -39,6 +39,14 @@ class TestGridSpec:
         with pytest.raises(UsageError):
             GridSpec(alpha_grid=[-1.0])
 
+    @pytest.mark.parametrize("name", ["epsilon_grid", "alpha_grid",
+                                      "lambda_grid", "theta_grid"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(UsageError, match="non-finite"):
+            GridSpec(**{name: [0.0, value]})
+
 
 class TestThetaDeciles:
     def test_pooled_and_sorted(self):
