@@ -4,21 +4,43 @@ Run from the repo root:  python3 fixtures/toy/regen.py
 The golden rerank output is produced by the brute-force oracle.
 """
 import os
-import subprocess
-import sys
 
-from basket_rerank.dataset import (build_repeat_sets, save_baskets,
-                                   save_categories, save_targets,
-                                   split_leave_last)
-from basket_rerank.scorer import (make_unified, save_scores,
+from basket_rerank.dataset import (build_item_groups, build_repeat_sets,
+                                   load_baskets, load_categories,
+                                   save_baskets, save_categories,
+                                   save_targets, split_leave_last)
+from basket_rerank.objective import RerankConfig, build_unified_problem
+from basket_rerank.scorer import (import_scores, make_unified, save_scores,
                                   score_explore_popularity,
                                   score_repeat_topfreq)
+from basket_rerank.solver import solve_bruteforce
 from basket_rerank.synth import make_toy_fixture
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 7
 N = 15
 K = 5
+
+
+def write_golden(out_path: str) -> None:
+    """Re-rank the fixture's unified scores under radiv (epsilon = lambda =
+    0.1, log-discount exposure, repeats penalized) with the brute-force
+    oracle, writing the baskets TSV that ``rerank --out`` writes."""
+    categories = load_categories(os.path.join(HERE, "categories.tsv"))
+    train = load_baskets(os.path.join(HERE, "train.jsonl"), "jsonl", categories)
+    reps = build_repeat_sets(train)
+    groups = build_item_groups(train)
+    cands = import_scores(os.path.join(HERE, "scores_unified.tsv"), "unified",
+                          n=N)
+    cfg = RerankConfig(k=K, n=N, epsilon=0.1, lam=0.1, objective_kind="radiv")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for uid in cands.user_ids:
+            problem = build_unified_problem(uid, cands, reps, groups,
+                                            categories, cfg)
+            rep = reps.get(uid, frozenset())
+            for rank, item in enumerate(solve_bruteforce(problem).items,
+                                        start=1):
+                fh.write(f"{uid}\t{rank}\t{item}\t{int(item in rep)}\n")
 
 
 def main() -> None:
@@ -42,15 +64,7 @@ def main() -> None:
     with open(os.path.join(HERE, "toy.cfg"), "w", encoding="utf-8") as fh:
         fh.write(f"k = {K}\nn = {N}\nexposure = log-discount\n")
 
-    subprocess.run([
-        sys.executable, "-m", "basket_rerank.cli",
-        "rerank", "--mode", "radiv", "--epsilon", "0.1", "--lambda", "0.1",
-        "--k", str(K), "--n", str(N), "--engine", "bruteforce",
-        "--train", os.path.join(HERE, "train.jsonl"),
-        "--categories", os.path.join(HERE, "categories.tsv"),
-        "--scores", os.path.join(HERE, "scores_unified.tsv"),
-        "--out", os.path.join(HERE, "golden_radiv_e0.1_l0.1.tsv"),
-    ], check=True)
+    write_golden(os.path.join(HERE, "golden_radiv_e0.1_l0.1.tsv"))
 
 
 if __name__ == "__main__":

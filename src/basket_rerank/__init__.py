@@ -16,7 +16,7 @@ from .scorer import (CandidateSet, import_scores, make_unified,
                      score_explore_popularity, score_repeat_topfreq)
 from .solver import (RerankedBaskets, Selection, rerank_all, solve,
                      solve_branch_and_bound, solve_bruteforce,
-                     solve_combined, solve_greedy, solve_topk_linear)
+                     solve_topk_linear)
 from .tuner import GridSpec, TuneResult, final_evaluate, run_grid
 
 __version__ = "0.1.0"

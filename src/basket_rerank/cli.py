@@ -85,8 +85,6 @@ def build_parser() -> _Parser:
     _add_data_flags(p)
     _add_rerank_flags(p)
     p.add_argument("--targets", help="needed for --sign auto")
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "linear", "bnb", "bruteforce", "greedy"])
     p.add_argument("--out", required=True, help="reranked baskets TSV")
     p.add_argument("--stats", help="solver statistics JSON")
     p.add_argument("--dump-problems", help="serialized problems JSONL")
@@ -113,8 +111,6 @@ def build_parser() -> _Parser:
     _add_data_flags(p)
     _add_rerank_flags(p)
     p.add_argument("--targets", required=True, help="validation targets JSONL")
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "linear", "bnb", "bruteforce", "greedy"])
     p.add_argument("--epsilon-grid", type=_grid_arg)
     p.add_argument("--alpha-grid", type=_grid_arg)
     p.add_argument("--lambda-grid", type=_grid_arg)
@@ -179,11 +175,8 @@ def _apply_config_file(argv: list[str], parser: _Parser) -> list[str]:
             flag = "--" + key.replace("_", "-")
             extra += [flag, value]
     # insert after the verb so subparser flags resolve
-    verbs = set(MODE_TO_KIND) | {"ingest", "score", "rerank", "evaluate",
-                                 "tune", "report"}
     for i, tok in enumerate(argv):
-        if tok in verbs and tok in {"ingest", "score", "rerank", "evaluate",
-                                    "tune", "report"}:
+        if tok in _COMMANDS:
             return argv[:i + 1] + extra + argv[i + 1:]
     return argv + extra
 
@@ -353,8 +346,7 @@ def _cmd_rerank(args) -> int:
         with open(args.dump_problems, "w", encoding="utf-8") as fh:
             for problem in problems:
                 fh.write(problem.to_json() + "\n")
-    baskets = rerank_all(problems, engine=args.engine,
-                         skip_errors=args.skip_errors,
+    baskets = rerank_all(problems, skip_errors=args.skip_errors,
                          config_snapshot=cfg.snapshot())
     for msg in baskets.warnings:
         print(f"warning: {msg}", file=sys.stderr)
@@ -372,8 +364,7 @@ def _cmd_rerank(args) -> int:
             "per_user": {
                 uid: {"objective": s.objective, "solver": s.solver_tag,
                       "optimal": s.optimal, "nodes": s.nodes,
-                      "prunes": s.prunes, "wall_time": s.wall_time,
-                      "bound_gap": s.bound_gap}
+                      "prunes": s.prunes, "wall_time": s.wall_time}
                 for uid, s in sorted(baskets.baskets.items())},
         }
         with open(args.stats, "w", encoding="utf-8") as fh:
@@ -442,8 +433,7 @@ def _cmd_tune(args) -> int:
         print(json.dumps({"resolved_config": cfg.snapshot(),
                           "grid_points": n_weights * second}, indent=2))
         return 0
-    result = run_grid(targets, cands, reps, groups, categories, cfg, grid,
-                      engine=args.engine)
+    result = run_grid(targets, cands, reps, groups, categories, cfg, grid)
     if args.sweep_out:
         write_sweep_csv(result, args.sweep_out)
     if args.chosen_out:
@@ -465,10 +455,11 @@ def _cmd_report(args) -> int:
         reports.append((path, MetricsReport.from_dict(payload, source=path)))
     ks = {r.config.get("k") for _, r in reports}
     omegas = {r.config.get("omega") for _, r in reports}
+    # key=str: a report without a config gives None beside the numbers
     if len(ks) > 1:
-        raise UsageError(f"reports mix basket sizes: {sorted(ks)}")
+        raise UsageError(f"reports mix basket sizes: {sorted(ks, key=str)}")
     if len(omegas) > 1:
-        raise UsageError(f"reports mix omega values: {sorted(omegas)}")
+        raise UsageError(f"reports mix omega values: {sorted(omegas, key=str)}")
     if args.dry_run:
         print(f"would tabulate {len(reports)} reports")
         return 0

@@ -316,6 +316,7 @@ def build_item_groups(train: BasketDataset, top_fraction: float = 0.2) -> ItemGr
 
     Items are ranked by training purchase count descending, ties broken by
     item id ascending; the top ceil(fraction * |I|) form the popular group.
+    Fewer than two purchased items leave a group empty: DataError.
     """
     if not (0 < top_fraction < 1):
         raise DataError(f"top_fraction must be in (0,1), got {top_fraction}")
@@ -323,6 +324,9 @@ def build_item_groups(train: BasketDataset, top_fraction: float = 0.2) -> ItemGr
     for u in train.users:
         for b in u.baskets:
             counts.update(b)
+    if len(counts) < 2:
+        raise DataError(f"item groups need at least 2 purchased items in "
+                        f"train, got {len(counts)}")
     ranked = sorted(counts, key=lambda i: (-counts[i], i))
     n_pop = math.ceil(top_fraction * len(ranked))
     popular = set(ranked[:n_pop])
@@ -331,11 +335,13 @@ def build_item_groups(train: BasketDataset, top_fraction: float = 0.2) -> ItemGr
 
 
 def ground_truth_repeat_ratio(targets: SplitDataset, reps: RepeatSets) -> float:
-    """Mean per-user fraction of repeat items in the ground-truth baskets."""
-    if not targets.eval_targets:
-        raise DataError("no evaluation targets")
-    ratios = []
-    for uid, basket in targets.eval_targets.items():
-        rep = reps.get(uid, frozenset())
-        ratios.append(len(basket & rep) / len(basket))
+    """Mean per-user fraction of repeat items in the ground-truth baskets.
+
+    Empty target baskets are skipped, as in Recall; DataError if none is
+    left.
+    """
+    ratios = [len(basket & reps.get(uid, frozenset())) / len(basket)
+              for uid, basket in targets.eval_targets.items() if basket]
+    if not ratios:
+        raise DataError("no non-empty evaluation targets")
     return sum(ratios) / len(ratios)

@@ -1,33 +1,32 @@
 """Exact per-user solvers for the re-ranking selection problems.
 
 The global programs decompose across users (no cross-user terms or
-constraints), so each user's basket is found independently:
+constraints), so each user's basket is found independently. ``solve`` picks
+one exact algorithm per problem shape:
 
-* ``solve_topk_linear`` -- closed-form top-K by adjusted per-item value,
-  valid when the objective is additive per item (no coverage term and no
-  position-dependent fairness).
-* ``solve_branch_and_bound`` -- general exact path. Candidates are visited
+* ``solve_topk_linear`` -- closed form for objectives that are additive per
+  item (no coverage term and no position-dependent fairness): each pool
+  takes its top items by adjusted per-item value.
+* ``solve_branch_and_bound`` -- every other problem. Candidates are visited
   in within-basket ranking order (relevance desc, id asc), so the t-th
   included item occupies position t and exposure weights are known during
   the search. Pruning uses an admissible bound built from per-pool suffix
   top-value sums, an every-slot-opens-a-category coverage bonus, and a
   best-coefficient-at-each-position fairness bonus.
-* ``solve_bruteforce`` -- enumeration oracle, kept deliberately independent
-  of the branch-and-bound path (it scores selections only through
-  ``objective_value``).
-* ``solve_greedy`` -- marginal-gain greedy plus pairwise swap local search;
-  not exact, only used behind an explicit engine flag.
 
-Equal-objective ties are broken by the lexicographically smallest
-position-ordered item-id sequence in every solver that claims optimality.
+``solve_bruteforce`` enumerates every feasible selection. It is the testing
+oracle, kept independent of the two paths above (it scores selections only
+through ``objective_value``).
+
+One tie rule holds in all three (``_better``): a selection wins when its
+objective is higher by more than ``_TIE_TOL``; otherwise the
+lexicographically smaller position-ordered item-id sequence wins.
 """
 from __future__ import annotations
 
 import bisect
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import SolverError, UsageError
@@ -47,7 +46,6 @@ class Selection:
     nodes: int = 0
     prunes: int = 0
     wall_time: float = 0.0
-    bound_gap: float = 0.0
 
 
 @dataclass
@@ -62,6 +60,14 @@ class RerankedBaskets:
 
     def as_item_lists(self) -> dict[str, list[str]]:
         return {u: list(s.items) for u, s in self.baskets.items()}
+
+
+def _better(obj: float, seq: tuple[str, ...], best_obj: float,
+            best_seq: tuple[str, ...] | None) -> bool:
+    """The tie rule: does (obj, seq) beat the incumbent (best_obj, best_seq)?"""
+    if obj > best_obj + _TIE_TOL:
+        return True
+    return obj >= best_obj - _TIE_TOL and seq < best_seq
 
 
 def _pools(problem: RerankProblem) -> list[list[int]]:
@@ -81,35 +87,91 @@ def _quotas(problem: RerankProblem) -> list[int]:
     return [problem.repeat_slots, problem.explore_slots]
 
 
+def _linear_applicable(problem: RerankProblem) -> bool:
+    return problem.epsilon_eff == 0.0 and (
+        problem.alpha_eff == 0.0 or problem.exposure.kind == "uniform")
+
+
 def solve_topk_linear(problem: RerankProblem) -> Selection:
-    """Exact shortcut for purely additive objectives.
+    """Closed form for purely additive objectives.
 
     Requires no diversity term and either uniform exposure or no fairness
     term, so each item's contribution is independent of the rest of the
-    selection.
+    selection. Each pool takes the items above its cut (the quota-th largest
+    adjusted value); the slots left go to items tied with the cut, chosen
+    by the tie rule in ``_fill_ties``.
     """
-    if problem.epsilon_eff != 0.0:
-        raise UsageError("linear solver requires a zero diversity weight")
-    if problem.alpha_eff != 0.0 and problem.exposure.kind != "uniform":
-        raise UsageError("linear solver requires uniform exposure when the "
-                         "fairness term is active")
+    if not _linear_applicable(problem):
+        raise UsageError("linear solver requires a zero diversity weight and "
+                         "uniform exposure when the fairness term is active")
     start = time.perf_counter()
     adj = _adjusted_values(problem, fold_fairness=True)
-    items = problem.items
     chosen: list[int] = []
+    ties: list[tuple[list[int], int]] = []
     for p, (pool, quota) in enumerate(zip(_pools(problem), _quotas(problem))):
         if len(pool) < quota:
             raise SolverError(
                 f"user {problem.user_id!r}: pool {p} has {len(pool)} candidates "
                 f"for {quota} slots")
-        pool.sort(key=lambda j: (-adj[j], items[j]))
-        chosen.extend(pool[:quota])
-    # basket positions: relevance desc, id asc, as in ranked_selection
-    chosen.sort(key=lambda j: (-problem.relevance[j], items[j]))
-    selected = [items[j] for j in chosen]
+        if not quota:
+            continue
+        pool.sort(key=adj.__getitem__, reverse=True)
+        cut = adj[pool[quota - 1]]
+        lo, hi = quota - 1, quota
+        while lo and adj[pool[lo - 1]] <= cut + _TIE_TOL:
+            lo -= 1
+        while hi < len(pool) and adj[pool[hi]] >= cut - _TIE_TOL:
+            hi += 1
+        chosen += pool[:lo]
+        ties.append((sorted(pool[lo:hi]), quota - lo))
+    chosen += _fill_ties(problem, chosen, ties)
+    chosen.sort()  # candidate order is basket-position order
+    selected = [problem.items[j] for j in chosen]
     obj = objective_value(problem, selected)
     return Selection(problem.user_id, selected, obj, "topk_linear", True,
                      wall_time=time.perf_counter() - start)
+
+
+def _fill_ties(problem: RerankProblem, forced: list[int],
+               ties: list[tuple[list[int], int]]) -> list[int]:
+    """Choose ``need`` of each pool's tied candidates (in candidate order)
+    so that, with the ``forced`` ones, the position-ordered id sequence is
+    the smallest."""
+    rel = problem.relevance
+    if all(need == len(tied) or rel[tied[0]] == rel[tied[-1]]
+           for tied, need in ties):
+        # one relevance: the tied items fill one block of positions in id
+        # order, so the first ``need`` are the smallest ids
+        return [j for tied, need in ties for j in tied[:need]]
+    # fill positions in ranking order: each takes the smallest id that
+    # still leaves every pool enough tied candidates after it
+    items, n = problem.items, problem.n_candidates
+    pools = [tied for tied, _ in ties]
+    needs = [need for _, need in ties]
+    forced = sorted(forced)
+
+    def fits(j: int, pool_of_j: int | None) -> bool:
+        # pool_of_j is None for a forced candidate
+        return all(len(t) - bisect.bisect_right(t, j) >= need - (q == pool_of_j)
+                   for q, (t, need) in enumerate(zip(pools, needs)))
+
+    taken: list[int] = []
+    cursor = next_forced = 0
+    while any(needs):
+        stop = forced[next_forced] if next_forced < len(forced) else n
+        options = [(items[j], j, q) for q, t in enumerate(pools) if needs[q]
+                   for j in t[bisect.bisect_left(t, cursor):
+                              bisect.bisect_left(t, stop)] if fits(j, q)]
+        if stop < n and fits(stop, None):
+            options.append((items[stop], stop, None))
+        _, j, q = min(options)
+        if q is None:
+            next_forced += 1
+        else:
+            needs[q] -= 1
+            taken.append(j)
+        cursor = j + 1
+    return taken
 
 
 def _adjusted_values(problem: RerankProblem, fold_fairness: bool) -> list[float]:
@@ -130,7 +192,7 @@ def _adjusted_values(problem: RerankProblem, fold_fairness: bool) -> list[float]
 
 
 class _Instance:
-    """Precomputed arrays and bounds shared by the exact solvers."""
+    """Precomputed arrays and bounds for branch-and-bound."""
 
     def __init__(self, problem: RerankProblem):
         self.problem = problem
@@ -205,13 +267,15 @@ class _Instance:
 
 
 def solve_branch_and_bound(problem: RerankProblem) -> Selection:
-    """Depth-first exact search over candidates in ranking order."""
+    """Depth-first exact search over candidates in ranking order.
+
+    The search starts from no incumbent; taking candidates first makes its
+    first leaf the relevance-order basket.
+    """
     start = time.perf_counter()
     inst = _Instance(problem)
-    n, quotas = inst.n, inst.quotas
-
-    best_items, best_obj = _greedy_seed(problem, inst)
-    best_seq = tuple(best_items)
+    best_obj = -math.inf
+    best_seq: tuple[str, ...] = ()
     nodes = 0
     prunes = 0
 
@@ -226,10 +290,8 @@ def solve_branch_and_bound(problem: RerankProblem) -> Selection:
         nodes += 1
         if rem0 == 0 and rem1 == 0:
             seq = tuple(chosen)
-            if acc > best_obj + _TIE_TOL or (
-                    acc >= best_obj - _TIE_TOL and seq < best_seq):
-                best_obj = max(best_obj, acc)
-                best_seq = seq
+            if _better(acc, seq, best_obj, best_seq):
+                best_obj, best_seq = acc, seq
             return
         if inst.cnt[0][idx] < rem0 or inst.cnt[1][idx] < rem1:
             return
@@ -250,65 +312,12 @@ def solve_branch_and_bound(problem: RerankProblem) -> Selection:
             chosen.pop()
         dfs(idx + 1, t, rem0, rem1, covered, acc)
 
-    dfs(0, 0, quotas[0], quotas[1], 0, 0.0)
+    dfs(0, 0, inst.quotas[0], inst.quotas[1], 0, 0.0)
     final_items = list(best_seq)
     obj = objective_value(problem, final_items)
     return Selection(problem.user_id, final_items, obj, "branch_and_bound",
                      True, nodes=nodes, prunes=prunes,
                      wall_time=time.perf_counter() - start)
-
-
-def _greedy_seed(problem: RerankProblem, inst: _Instance
-                 ) -> tuple[list[str], float]:
-    """Two greedy feasible selections; the better one seeds the incumbent."""
-    n, quotas = inst.n, inst.quotas
-
-    # relevance-order greedy: take candidates in ranking order while feasible
-    rem = list(quotas)
-    take: list[int] = []
-    for j in range(n):
-        p = inst.pool[j]
-        if rem[p] > 0:
-            take.append(j)
-            rem[p] -= 1
-        if rem[0] == 0 and rem[1] == 0:
-            break
-    seeds = [take]
-
-    # marginal-gain greedy (positions estimated by pick order)
-    rem = list(quotas)
-    covered = 0
-    take2: list[int] = []
-    used = [False] * n
-    for t in range(inst.total):
-        best_j, best_gain = -1, -math.inf
-        for j in range(n):
-            if used[j] or rem[inst.pool[j]] == 0:
-                continue
-            gain = inst.adj[j]
-            if inst.eps_k and not (covered & inst.catbit[j]):
-                gain += inst.eps_k
-            if inst.pd:
-                gain += inst.coef_term[j] * inst.eweights[t]
-            if gain > best_gain:
-                best_j, best_gain = j, gain
-        if best_j < 0:
-            break
-        used[best_j] = True
-        take2.append(best_j)
-        rem[inst.pool[best_j]] -= 1
-        covered |= inst.catbit[best_j]
-    if rem[0] == 0 and rem[1] == 0:
-        seeds.append(sorted(take2))
-
-    best_items: list[str] = []
-    best_obj = -math.inf
-    for seed in seeds:
-        sel = ranked_selection(problem, [problem.items[j] for j in seed])
-        obj = objective_value(problem, sel)
-        if obj > best_obj:
-            best_items, best_obj = sel, obj
-    return best_items, best_obj
 
 
 def _combination_count(problem: RerankProblem) -> int:
@@ -340,7 +349,7 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
         obj = objective_value(problem, ranked)
         seq = tuple(ranked)
         count += 1
-        if obj > best_obj or (obj == best_obj and seq < best_seq):
+        if _better(obj, seq, best_obj, best_seq):
             best_obj, best_seq = obj, seq
     if best_seq is None:
         raise SolverError(f"user {problem.user_id!r}: no feasible selection")
@@ -349,104 +358,28 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
                      wall_time=time.perf_counter() - start)
 
 
-def solve_combined(problem: RerankProblem) -> Selection:
-    """Exact solve of a two-pool (repeat/explore slot) problem."""
-    if problem.kind != "combined":
-        raise UsageError("solve_combined needs a combined problem")
+def solve(problem: RerankProblem) -> Selection:
+    """The user's exact basket: the closed form for additive problems,
+    branch-and-bound otherwise."""
+    if _linear_applicable(problem):
+        return solve_topk_linear(problem)
     return solve_branch_and_bound(problem)
 
 
-def solve_greedy(problem: RerankProblem) -> Selection:
-    """Marginal-gain greedy plus pairwise swap local search. Not exact:
-    reports the root bound gap and optimal=False. Stress-scale use only."""
-    start = time.perf_counter()
-    inst = _Instance(problem)
-    items, obj = _greedy_seed(problem, inst)
-
-    improved = True
-    current = list(items)
-    while improved:
-        improved = False
-        in_set = set(current)
-        for out_item in list(current):
-            j_out = problem.items.index(out_item)
-            for j_in in range(inst.n):
-                cand = problem.items[j_in]
-                if cand in in_set or inst.pool[j_in] != inst.pool[j_out]:
-                    continue
-                trial = [cand if x == out_item else x for x in current]
-                trial_obj = objective_value(problem, trial)
-                if trial_obj > obj + _TIE_TOL:
-                    current, obj = ranked_selection(problem, trial), trial_obj
-                    in_set = set(current)
-                    improved = True
-                    break
-            if improved:
-                break
-    root_ub = inst.upper_bound(0, 0, inst.quotas[0], inst.quotas[1], 0)
-    return Selection(problem.user_id, current, obj, "greedy_fallback", False,
-                     bound_gap=max(0.0, root_ub - obj),
-                     wall_time=time.perf_counter() - start)
-
-
-_ENGINES = {
-    "linear": solve_topk_linear,
-    "bnb": solve_branch_and_bound,
-    "bruteforce": solve_bruteforce,
-    "greedy": solve_greedy,
-}
-
-
-def _linear_applicable(problem: RerankProblem) -> bool:
-    return problem.epsilon_eff == 0.0 and (
-        problem.alpha_eff == 0.0 or problem.exposure.kind == "uniform")
-
-
-def solve(problem: RerankProblem, engine: str = "auto") -> Selection:
-    if engine == "auto":
-        engine = "linear" if _linear_applicable(problem) else "bnb"
-    try:
-        fn = _ENGINES[engine]
-    except KeyError:
-        raise UsageError(f"unknown engine: {engine!r}") from None
-    return fn(problem)
-
-
-def rerank_all(problems: list[RerankProblem], engine: str = "auto",
-               skip_errors: bool = False, threads: int | None = None,
+def rerank_all(problems: list[RerankProblem], skip_errors: bool = False,
                config_snapshot: dict | None = None) -> RerankedBaskets:
-    """Solve every user independently; deterministic regardless of
-    scheduling (results reduced in user-id order)."""
-    if threads is None:
-        threads = int(os.environ.get("BASKET_RERANK_THREADS", "1"))
-    ordered = sorted(problems, key=lambda p: p.user_id)
+    """Solve every user independently, in user-id order. A failed solve
+    raises SolverError naming the user, or with ``skip_errors`` becomes a
+    warning and the user is left out."""
     baskets: dict[str, Selection] = {}
     warnings: list[str] = []
-
-    def handle(problem: RerankProblem, result: Selection | Exception) -> None:
-        if isinstance(result, Exception):
-            msg = f"user {problem.user_id!r}: {result}"
-            if skip_errors:
-                warnings.append(msg)
-            else:
-                raise SolverError(msg) from result
-        else:
-            baskets[problem.user_id] = result
-
-    if threads > 1 and len(ordered) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_solve_safe, ordered, [engine] * len(ordered)))
-        for problem, result in zip(ordered, results):
-            handle(problem, result)
-    else:
-        for problem in ordered:
-            handle(problem, _solve_safe(problem, engine))
+    for problem in sorted(problems, key=lambda p: p.user_id):
+        try:
+            baskets[problem.user_id] = solve(problem)
+        except Exception as exc:  # noqa: BLE001 - reported per user
+            msg = f"user {problem.user_id!r}: {exc}"
+            if not skip_errors:
+                raise SolverError(msg) from exc
+            warnings.append(msg)
     return RerankedBaskets(baskets, config=dict(config_snapshot or {}),
                            warnings=warnings)
-
-
-def _solve_safe(problem: RerankProblem, engine: str) -> Selection | Exception:
-    try:
-        return solve(problem, engine)
-    except Exception as exc:  # noqa: BLE001 - reported per user by caller
-        return exc

@@ -79,14 +79,12 @@ def _build_problems(cands: CandidateSet, reps: RepeatSets, groups: ItemGroups,
 def rerank_and_evaluate(cands: CandidateSet, split: SplitDataset,
                         reps: RepeatSets, groups: ItemGroups,
                         categories: dict[str, str], cfg: RerankConfig,
-                        rep_ratio_gt: float, engine: str = "auto"
-                        ) -> MetricsReport:
+                        rep_ratio_gt: float) -> MetricsReport:
     users = sorted(set(cands.user_ids) & set(split.eval_targets))
     if not users:
         raise DataError("no overlap between candidate users and the split")
     problems = _build_problems(cands, reps, groups, categories, cfg, users)
-    baskets = rerank_all(problems, engine=engine,
-                         config_snapshot=cfg.snapshot())
+    baskets = rerank_all(problems, config_snapshot=cfg.snapshot())
     return evaluate(baskets, split, reps, groups, categories, cfg,
                     rep_ratio_gt=rep_ratio_gt)
 
@@ -103,8 +101,7 @@ def _grid_points(kind: str, cands_kind: str, grid: GridSpec,
 
 def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
              groups: ItemGroups, categories: dict[str, str],
-             cfg: RerankConfig, grid: GridSpec, engine: str = "auto"
-             ) -> TuneResult:
+             cfg: RerankConfig, grid: GridSpec) -> TuneResult:
     """Evaluate every grid point on the validation split and pick the best
     feasible one. Ties go to the lexicographically smallest
     (weight, lambda, theta) tuple; with no feasible point the baseline wins
@@ -132,7 +129,7 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
 
     baseline_cfg = point_cfg(0.0, 0.0, base_theta, "relevance_only")
     baseline = rerank_and_evaluate(cands, split, reps, groups, categories,
-                                   baseline_cfg, rep_ratio_gt, engine)
+                                   baseline_cfg, rep_ratio_gt)
     floor = (1.0 - cfg.recall_tolerance) * baseline.recall
 
     results: list[tuple[RerankConfig, MetricsReport]] = []
@@ -143,7 +140,7 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
                                            grid, theta_default):
         pcfg = point_cfg(weight, lam, theta, cfg.objective_kind)
         report = rerank_and_evaluate(cands, split, reps, groups, categories,
-                                     pcfg, rep_ratio_gt, engine)
+                                     pcfg, rep_ratio_gt)
         results.append((pcfg, report))
         if report.recall < floor:
             continue
@@ -159,7 +156,7 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
 
 def final_evaluate(best: RerankConfig, test: SplitDataset, cands: CandidateSet,
                    reps: RepeatSets, groups: ItemGroups,
-                   categories: dict[str, str], engine: str = "auto",
+                   categories: dict[str, str],
                    objective_kind: str | None = None) -> MetricsReport:
     """Single frozen-config evaluation on the test split."""
     if objective_kind is not None and objective_kind != best.objective_kind:
@@ -168,7 +165,7 @@ def final_evaluate(best: RerankConfig, test: SplitDataset, cands: CandidateSet,
             f"requested {objective_kind!r}")
     rep_ratio_gt = ground_truth_repeat_ratio(test, reps)
     return rerank_and_evaluate(cands, test, reps, groups, categories, best,
-                               rep_ratio_gt, engine)
+                               rep_ratio_gt)
 
 
 def write_sweep_csv(result: TuneResult, path: str) -> None:

@@ -301,7 +301,7 @@ def test_criterion_9_performance():
         problems = _performance_problems(1000, "radiv", "log_discount",
                                          0.1, 0.0, 0.1)
         start = time.time()
-        out = rerank_all(problems, engine="bnb")
+        out = rerank_all(problems)
         elapsed = time.time() - start
         assert all(s.optimal for s in out.baskets.values())
         assert len(out.baskets) == 1000
@@ -310,7 +310,7 @@ def test_criterion_9_performance():
         linear = _performance_problems(1000, "raif", "uniform",
                                        0.0, 1.0, 0.1)
         start = time.time()
-        out = rerank_all(linear, engine="linear")
+        out = rerank_all(linear)
         elapsed = time.time() - start
         assert all(s.optimal for s in out.baskets.values())
         assert elapsed < 5.0, f"linear path took {elapsed:.1f}s"

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from basket_rerank import cli
 from basket_rerank.cli import main, read_baskets_tsv
+from basket_rerank.errors import SolverError
 from tests.conftest import toy_path
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -18,9 +20,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def rerank_args(out, *extra, engine="bnb", mode="radiv"):
+def rerank_args(out, *extra, mode="radiv"):
     return ["rerank", "--mode", mode, "--k", "5", "--n", "15",
-            "--engine", engine,
             "--train", toy_path("train.jsonl"),
             "--categories", toy_path("categories.tsv"),
             "--scores", toy_path("scores_unified.tsv"),
@@ -226,18 +227,15 @@ class TestExitCodes:
                            "--out", str(out))
         assert code == 2 and "data error" in err
 
-    def test_bruteforce_guard_is_solver(self, tmp_path, capsys):
-        # C(100, 20) exceeds the enumeration guard
-        scores = tmp_path / "big.tsv"
-        scores.write_text("".join(f"u000\ti{j:03d}\t{1 - j / 200}\n"
-                                  for j in range(100)))
+    def test_solver_failure_is_solver(self, tmp_path, capsys, monkeypatch):
+        def fail(problems, **kwargs):
+            raise SolverError("user 'u000': no feasible selection")
+
+        monkeypatch.setattr(cli, "rerank_all", fail)
         out = tmp_path / "baskets.tsv"
-        code, _, err = run(capsys, "rerank", "--mode", "radiv", "--k", "20",
-                           "--n", "100", "--engine", "bruteforce",
-                           "--train", toy_path("train.jsonl"),
-                           "--scores", str(scores),
-                           "--out", str(out))
+        code, _, err = run(capsys, *rerank_args(out, "--epsilon", "0.1"))
         assert code == 3 and "solver error" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestIngestScore:
@@ -331,6 +329,44 @@ class TestBadInputExitCodes:
         path = write_text(tmp_path / "r.json", text)
         got, _, err = run_process("report", path)
         assert got == 2 and message in err and "Traceback" not in err
+
+    def test_report_config_missing(self, tmp_path):
+        with_k = TestReport().write_report(tmp_path, "a.json")
+        payload = json.loads((tmp_path / "a.json").read_text())
+        del payload["config"]
+        without = write_text(tmp_path / "b.json", json.dumps(payload))
+        got, _, err = run_process("report", with_k, without)
+        assert got == 1 and "basket sizes" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["rerank", "tune", "evaluate"])
+    def test_empty_target_basket(self, tmp_path, verb):
+        split = "test" if verb == "evaluate" else "validation"
+        targets = write_text(tmp_path / "t.jsonl", json.dumps(
+            {"user_id": "u000", "basket": [], "split": split}) + "\n")
+        if verb == "rerank":
+            argv = rerank_args(tmp_path / "b.tsv", "--sign", "auto",
+                               "--targets", targets)
+        elif verb == "tune":
+            argv = TestTune().tune_args(tmp_path)
+            argv[argv.index(toy_path("targets_validation.jsonl"))] = targets
+        else:
+            baskets = write_text(tmp_path / "b.tsv", "u000\t1\ti000\t0\n")
+            argv = ["evaluate", "--baskets", baskets, "--train",
+                    toy_path("train.jsonl"), "--targets", targets, "--k", "1"]
+        got, _, err = run_process(*argv)
+        assert got == 2 and "non-empty" in err and "Traceback" not in err
+
+    def test_one_item_vocabulary(self, tmp_path):
+        train = write_text(tmp_path / "train.jsonl", "".join(
+            json.dumps({"user_id": f"u{u}", "baskets": [["i0"], ["i0"]]}) + "\n"
+            for u in range(3)))
+        scores = write_text(tmp_path / "s.tsv",
+                            "".join(f"u{u}\ti0\t0.5\n" for u in range(3)))
+        got, _, err = run_process("rerank", "--mode", "raif", "--alpha", "1",
+                                  "--k", "1", "--n", "1", "--train", train,
+                                  "--scores", scores,
+                                  "--out", str(tmp_path / "b.tsv"))
+        assert got == 2 and "at least 2" in err and "Traceback" not in err
 
 
 def test_evaluate_report_independent_of_hash_seed(tmp_path):
