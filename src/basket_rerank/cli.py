@@ -9,6 +9,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 from .dataset import (build_item_groups, build_repeat_sets, cap_history,
                       filter_min_activity, ground_truth_repeat_ratio,
@@ -153,7 +154,6 @@ def _add_rerank_flags(p: argparse.ArgumentParser) -> None:
                    default="log-discount")
     p.add_argument("--omega", type=float, default=0.5)
     p.add_argument("--log-base", type=float, default=math.e)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _apply_config_file(argv: list[str], parser: _Parser) -> list[str]:
@@ -363,8 +363,8 @@ def _cmd_rerank(args) -> int:
             "total_objective": baskets.total_objective,
             "per_user": {
                 uid: {"objective": s.objective, "solver": s.solver_tag,
-                      "optimal": s.optimal, "nodes": s.nodes,
-                      "prunes": s.prunes, "wall_time": s.wall_time}
+                      "nodes": s.nodes, "prunes": s.prunes,
+                      "wall_time": s.wall_time}
                 for uid, s in sorted(baskets.baskets.items())},
         }
         with open(args.stats, "w", encoding="utf-8") as fh:
@@ -512,21 +512,27 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one verb. Warnings it raises are printed once each, as
+    one-line ``warning:`` messages, also when the verb fails."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        argv = _apply_config_file(argv, parser)
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.verb](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            argv = _apply_config_file(argv, parser)
+            args = parser.parse_args(argv)
+            code, error = _COMMANDS[args.verb](args), None
+        except UsageError as exc:
+            code, error = 1, f"usage error: {exc}"
+        except (DataError, FileNotFoundError) as exc:
+            code, error = 2, f"data error: {exc}"
+        except SolverError as exc:
+            code, error = 3, f"solver error: {exc}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -194,15 +194,27 @@ def compute_h_theta(repeat_scores: list[float], theta: float, k: int,
     return min(h_aux, k)
 
 
+def _slot_split(rep_pairs: list[tuple[str, float]], n_explore: int,
+                cfg: RerankConfig) -> tuple[int, int, bool]:
+    """Repeat slots, explore slots and shortness of one combined basket.
+
+    H(theta) repeat slots, raised when the explore list cannot fill K - H;
+    if both pools together cannot fill K, the basket is short and every
+    candidate gets a slot.
+    """
+    h = compute_h_theta([s for _, s in rep_pairs], cfg.theta, cfg.k,
+                        cfg.theta_strict)
+    h = max(h, cfg.k - n_explore)
+    if h > len(rep_pairs):
+        return len(rep_pairs), n_explore, True
+    return h, cfg.k - h, False
+
+
 def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
                            groups: ItemGroups, categories: dict[str, str],
                            cfg: RerankConfig) -> RerankProblem:
-    """Two-pool problem with threshold-derived repeat/explore slots.
-
-    If the explore list cannot fill K - H slots, H is raised to compensate;
-    if both pools together cannot fill K, the problem is marked short and
-    every available candidate gets a slot.
-    """
+    """Two-pool problem with threshold-derived repeat/explore slots
+    (``_slot_split``)."""
     if cands.kind != "combined":
         raise UsageError("build_combined_problem needs a combined candidate set")
     rep_pairs = cands.repeat_list.get(user_id, [])
@@ -210,18 +222,7 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
     if not rep_pairs and not exp_pairs:
         raise DataError(f"user {user_id!r} absent from candidate set")
 
-    h = compute_h_theta([s for _, s in rep_pairs], cfg.theta, cfg.k,
-                        cfg.theta_strict)
-    short = False
-    if cfg.k - h > len(exp_pairs):
-        h = cfg.k - len(exp_pairs)
-    if h > len(rep_pairs):
-        # both pools together cannot fill K
-        short = True
-        h = len(rep_pairs)
-        explore_slots = len(exp_pairs)
-    else:
-        explore_slots = cfg.k - h
+    h, explore_slots, short = _slot_split(rep_pairs, len(exp_pairs), cfg)
 
     # merged candidate list in within-basket ranking order; pool membership
     # (not RepeatSets) defines the repeat flag, matching the score files
@@ -327,11 +328,8 @@ def original_topk(cands: CandidateSet, cfg: RerankConfig) -> dict[str, list[str]
     for uid in cands.user_ids:
         rep = cands.repeat_list.get(uid, [])
         exp = cands.explore_list.get(uid, [])
-        h = compute_h_theta([s for _, s in rep], cfg.theta, cfg.k,
-                            cfg.theta_strict)
-        if cfg.k - h > len(exp):
-            h = min(cfg.k - len(exp), len(rep))
-        chosen = rep[:h] + exp[:cfg.k - h]
+        h, explore_slots, _ = _slot_split(rep, len(exp), cfg)
+        chosen = rep[:h] + exp[:explore_slots]
         baskets[uid] = [i for i, _ in rank_pairs(chosen)]
     return baskets
 

@@ -5,15 +5,17 @@ constraints), so each user's basket is found independently. ``solve`` picks
 one exact algorithm per problem shape:
 
 * ``solve_topk_linear`` -- closed form for objectives that are additive per
-  item (no coverage term and no position-dependent fairness): each pool
-  takes its top items by adjusted per-item value.
-* ``solve_branch_and_bound`` -- every other problem. Candidates are visited
-  in within-basket ranking order (relevance desc, id asc), so the t-th
-  included item occupies position t and exposure weights are known during
-  the search. Pruning uses an admissible bound built from per-pool suffix
-  top-value sums, an every-slot-opens-a-category coverage bonus, and a
-  best-coefficient-at-each-position fairness bonus.
+  item: no coverage term, and no fairness term that depends on basket
+  position (``_position_dependent``). Each pool takes its top items by
+  adjusted per-item value.
+* ``solve_branch_and_bound`` -- every other problem, in one function.
+  Candidates are visited in within-basket ranking order (relevance desc, id
+  asc), so the t-th included item occupies position t and exposure weights
+  are known during the search. A node is pruned by an admissible bound:
+  per-pool suffix top-value sums, an every-slot-opens-a-category coverage
+  bonus, and a best-coefficient-at-each-position fairness bonus.
 
+Both reject a pool with fewer candidates than slots (``_checked_pools``).
 ``solve_bruteforce`` enumerates every feasible selection. It is the testing
 oracle, kept independent of the two paths above (it scores selections only
 through ``objective_value``).
@@ -25,6 +27,7 @@ lexicographically smaller position-ordered item-id sequence wins.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,7 +45,6 @@ class Selection:
     items: list[str]            # position order (relevance desc, id asc)
     objective: float
     solver_tag: str
-    optimal: bool
     nodes: int = 0
     prunes: int = 0
     wall_time: float = 0.0
@@ -70,26 +72,36 @@ def _better(obj: float, seq: tuple[str, ...], best_obj: float,
     return obj >= best_obj - _TIE_TOL and seq < best_seq
 
 
-def _pools(problem: RerankProblem) -> list[list[int]]:
-    """Candidate indices of pool 0 and pool 1, in candidate order: unified
-    problems use a single pool; combined ones split by repeat flag."""
+def _pools(problem: RerankProblem) -> tuple[list[list[int]], list[int]]:
+    """Candidate indices (in candidate order) and slot quota of pool 0 and
+    pool 1: unified problems use a single pool; combined ones split by
+    repeat flag."""
     if problem.kind == "unified":
-        return [list(range(problem.n_candidates)), []]
+        return [list(range(problem.n_candidates)), []], [problem.total_slots, 0]
     pools: list[list[int]] = [[], []]
     for j, rep in enumerate(problem.is_repeat):
         pools[0 if rep else 1].append(j)
-    return pools
+    return pools, [problem.repeat_slots, problem.explore_slots]
 
 
-def _quotas(problem: RerankProblem) -> list[int]:
-    if problem.kind == "unified":
-        return [problem.total_slots, 0]
-    return [problem.repeat_slots, problem.explore_slots]
+def _checked_pools(problem: RerankProblem) -> tuple[list[list[int]], list[int]]:
+    """``_pools``, with a SolverError for a pool short of candidates."""
+    pools, quotas = _pools(problem)
+    for p, (pool, quota) in enumerate(zip(pools, quotas)):
+        if len(pool) < quota:
+            raise SolverError(
+                f"user {problem.user_id!r}: pool {p} has {len(pool)} candidates "
+                f"for {quota} slots")
+    return pools, quotas
+
+
+def _position_dependent(problem: RerankProblem) -> bool:
+    """Does the fairness term depend on basket position?"""
+    return problem.alpha_eff != 0.0 and problem.exposure.kind != "uniform"
 
 
 def _linear_applicable(problem: RerankProblem) -> bool:
-    return problem.epsilon_eff == 0.0 and (
-        problem.alpha_eff == 0.0 or problem.exposure.kind == "uniform")
+    return problem.epsilon_eff == 0.0 and not _position_dependent(problem)
 
 
 def solve_topk_linear(problem: RerankProblem) -> Selection:
@@ -105,14 +117,10 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
         raise UsageError("linear solver requires a zero diversity weight and "
                          "uniform exposure when the fairness term is active")
     start = time.perf_counter()
-    adj = _adjusted_values(problem, fold_fairness=True)
+    adj = _adjusted_values(problem)
     chosen: list[int] = []
     ties: list[tuple[list[int], int]] = []
-    for p, (pool, quota) in enumerate(zip(_pools(problem), _quotas(problem))):
-        if len(pool) < quota:
-            raise SolverError(
-                f"user {problem.user_id!r}: pool {p} has {len(pool)} candidates "
-                f"for {quota} slots")
+    for pool, quota in zip(*_checked_pools(problem)):
         if not quota:
             continue
         pool.sort(key=adj.__getitem__, reverse=True)
@@ -128,7 +136,7 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
     chosen.sort()  # candidate order is basket-position order
     selected = [problem.items[j] for j in chosen]
     obj = objective_value(problem, selected)
-    return Selection(problem.user_id, selected, obj, "topk_linear", True,
+    return Selection(problem.user_id, selected, obj, "topk_linear",
                      wall_time=time.perf_counter() - start)
 
 
@@ -174,114 +182,69 @@ def _fill_ties(problem: RerankProblem, forced: list[int],
     return taken
 
 
-def _adjusted_values(problem: RerankProblem, fold_fairness: bool) -> list[float]:
-    """Per-item position-independent contribution."""
+def _adjusted_values(problem: RerankProblem) -> list[float]:
+    """Per-item position-independent contribution, with the fairness term
+    unless it depends on position (uniform exposure: e(p) == 1)."""
     rel_scale, alpha = problem.rel_scale, problem.alpha_eff
     repeat_term = problem.signed_lambda / problem.k
+    pd = _position_dependent(problem)
     out = []
     for rel, rep, coef in zip(problem.relevance, problem.is_repeat,
                               problem.fairness_coef):
         v = rel_scale * rel
         if rep:
             v += repeat_term
-        if fold_fairness:
-            # only valid under uniform exposure (e(p) == 1)
+        if not pd:
             v -= alpha * coef
         out.append(v)
     return out
-
-
-class _Instance:
-    """Precomputed arrays and bounds for branch-and-bound."""
-
-    def __init__(self, problem: RerankProblem):
-        self.problem = problem
-        n = problem.n_candidates
-        self.n = n
-        self.quotas = _quotas(problem)
-        self.total = sum(self.quotas)
-        if self.total > n:
-            raise SolverError(
-                f"user {problem.user_id!r}: {self.total} slots but only "
-                f"{n} candidates")
-        self.pool = [0] * n
-        for j in _pools(problem)[1]:
-            self.pool[j] = 1
-        # position-dependent fairness only when exposure varies with rank
-        self.pd = problem.alpha_eff != 0.0 and problem.exposure.kind != "uniform"
-        self.adj = _adjusted_values(problem, fold_fairness=not self.pd)
-        self.coef_term = [-problem.alpha_eff * c for c in problem.fairness_coef] \
-            if self.pd else [0.0] * n
-        self.eps_k = problem.epsilon_eff / problem.k
-
-        cat_ids: dict[str, int] = {}
-        self.catbit = []
-        for c in problem.category:
-            if c not in cat_ids:
-                cat_ids[c] = len(cat_ids)
-            self.catbit.append(1 << cat_ids[c])
-
-        self.eweights = problem.exposure.weights(self.total) if self.total else []
-        self.epre = [0.0]
-        for w in self.eweights:
-            self.epre.append(self.epre[-1] + w)
-
-        # suffix structures indexed by candidate position
-        self.cnt = [[0] * (n + 1), [0] * (n + 1)]
-        self.catmask = [0] * (n + 1)
-        self.max_coef = [-math.inf] * (n + 1)
-        self.topsum = [[None] * (n + 1), [None] * (n + 1)]
-        sorted_adj: list[list[float]] = [[], []]  # descending per pool
-        for p in (0, 1):
-            self.topsum[p][n] = [0.0]
-        for j in range(n - 1, -1, -1):
-            for p in (0, 1):
-                self.cnt[p][j] = self.cnt[p][j + 1]
-            p = self.pool[j]
-            self.cnt[p][j] += 1
-            self.catmask[j] = self.catmask[j + 1] | self.catbit[j]
-            self.max_coef[j] = max(self.max_coef[j + 1], self.coef_term[j])
-            bisect.insort(sorted_adj[p], -self.adj[j])
-            for q in (0, 1):
-                sums = [0.0]
-                limit = min(len(sorted_adj[q]), self.quotas[q])
-                for v in sorted_adj[q][:limit]:
-                    sums.append(sums[-1] - v)
-                self.topsum[q][j] = sums
-        for p in (0, 1):
-            if self.cnt[p][0] < self.quotas[p]:
-                raise SolverError(
-                    f"user {problem.user_id!r}: pool {p} has "
-                    f"{self.cnt[p][0]} candidates for {self.quotas[p]} slots")
-
-    def upper_bound(self, idx: int, t: int, rem0: int, rem1: int,
-                    covered: int) -> float:
-        ub = self.topsum[0][idx][rem0] + self.topsum[1][idx][rem1]
-        rem = rem0 + rem1
-        if self.eps_k:
-            new_cats = (self.catmask[idx] & ~covered).bit_count()
-            ub += self.eps_k * min(rem, new_cats)
-        if self.pd and rem:
-            ub += self.max_coef[idx] * (self.epre[t + rem] - self.epre[t])
-        return ub
 
 
 def solve_branch_and_bound(problem: RerankProblem) -> Selection:
     """Depth-first exact search over candidates in ranking order.
 
     The search starts from no incumbent; taking candidates first makes its
-    first leaf the relevance-order basket.
+    first leaf the relevance-order basket. A node is pruned when its value
+    so far plus an admissible bound on the rest falls below the incumbent.
     """
     start = time.perf_counter()
-    inst = _Instance(problem)
+    pools, quotas = _checked_pools(problem)
+    n, items = problem.n_candidates, problem.items
+    pool = [0] * n
+    for j in pools[1]:
+        pool[j] = 1
+    pd = _position_dependent(problem)
+    adj = _adjusted_values(problem)
+    coef_term = ([-problem.alpha_eff * c for c in problem.fairness_coef]
+                 if pd else [0.0] * n)
+    eps_k = problem.epsilon_eff / problem.k
+    cat_ids: dict[str, int] = {}
+    catbit = [1 << cat_ids.setdefault(c, len(cat_ids)) for c in problem.category]
+    eweights = problem.exposure.weights(sum(quotas))
+    epre = list(itertools.accumulate(eweights, initial=0.0))
+
+    # Suffix structures indexed by candidate position. top[p][j] lists the
+    # sums of pool p's best adjusted values from candidate j on, for 0 up to
+    # min(candidates left, quota) items; its length bounds the slots p can
+    # still fill. Candidate j rebuilds only its own pool's list.
+    catmask = [0] * (n + 1)
+    max_coef = [-math.inf] * (n + 1)
+    top = [[[0.0]] * (n + 1) for _ in (0, 1)]
+    neg_sorted: list[list[float]] = [[], []]  # negated values, ascending
+    for j in range(n - 1, -1, -1):
+        p = pool[j]
+        catmask[j] = catmask[j + 1] | catbit[j]
+        max_coef[j] = max(max_coef[j + 1], coef_term[j])
+        bisect.insort(neg_sorted[p], -adj[j])
+        sums = [0.0]
+        for v in neg_sorted[p][:quotas[p]]:
+            sums.append(sums[-1] - v)
+        top[p][j] = sums
+        top[1 - p][j] = top[1 - p][j + 1]
+
     best_obj = -math.inf
     best_seq: tuple[str, ...] = ()
-    nodes = 0
-    prunes = 0
-
-    adj, pool, catbit = inst.adj, inst.pool, inst.catbit
-    coef_term, eweights, eps_k = inst.coef_term, inst.eweights, inst.eps_k
-    items = problem.items
+    nodes = prunes = 0
     chosen: list[str] = []
 
     def dfs(idx: int, t: int, rem0: int, rem1: int, covered: int,
@@ -293,10 +256,18 @@ def solve_branch_and_bound(problem: RerankProblem) -> Selection:
             if _better(acc, seq, best_obj, best_seq):
                 best_obj, best_seq = acc, seq
             return
-        if inst.cnt[0][idx] < rem0 or inst.cnt[1][idx] < rem1:
-            return
-        ub = acc + inst.upper_bound(idx, t, rem0, rem1, covered)
-        if ub < best_obj - _TIE_TOL:
+        top0, top1 = top[0][idx], top[1][idx]
+        if len(top0) <= rem0 or len(top1) <= rem1:
+            return  # a pool has too few candidates left
+        # bound: each pool's best values, a new category per slot and the
+        # best fairness coefficient at every remaining position
+        rem = rem0 + rem1
+        bound = top0[rem0] + top1[rem1]
+        if eps_k:
+            bound += eps_k * min(rem, (catmask[idx] & ~covered).bit_count())
+        if pd:
+            bound += max_coef[idx] * (epre[t + rem] - epre[t])
+        if acc + bound < best_obj - _TIE_TOL:
             prunes += 1
             return
         p = pool[idx]
@@ -304,7 +275,7 @@ def solve_branch_and_bound(problem: RerankProblem) -> Selection:
             gain = adj[idx]
             if eps_k and not (covered & catbit[idx]):
                 gain += eps_k
-            if inst.pd:
+            if pd:
                 gain += coef_term[idx] * eweights[t]
             chosen.append(items[idx])
             dfs(idx + 1, t + 1, rem0 - (p == 0), rem1 - (p == 1),
@@ -312,17 +283,17 @@ def solve_branch_and_bound(problem: RerankProblem) -> Selection:
             chosen.pop()
         dfs(idx + 1, t, rem0, rem1, covered, acc)
 
-    dfs(0, 0, inst.quotas[0], inst.quotas[1], 0, 0.0)
+    dfs(0, 0, quotas[0], quotas[1], 0, 0.0)
     final_items = list(best_seq)
     obj = objective_value(problem, final_items)
     return Selection(problem.user_id, final_items, obj, "branch_and_bound",
-                     True, nodes=nodes, prunes=prunes,
+                     nodes=nodes, prunes=prunes,
                      wall_time=time.perf_counter() - start)
 
 
 def _combination_count(problem: RerankProblem) -> int:
     total = 1
-    for pool, quota in zip(_pools(problem), _quotas(problem)):
+    for pool, quota in zip(*_pools(problem)):
         total *= math.comb(len(pool), quota)
     return total
 
@@ -336,8 +307,7 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
             f"user {problem.user_id!r}: enumeration too large; use "
             "branch_and_bound")
     start = time.perf_counter()
-    quotas = _quotas(problem)
-    pools = _pools(problem)
+    pools, quotas = _pools(problem)
 
     best_obj = -math.inf
     best_seq: tuple[str, ...] | None = None
@@ -354,7 +324,7 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
     if best_seq is None:
         raise SolverError(f"user {problem.user_id!r}: no feasible selection")
     return Selection(problem.user_id, list(best_seq), best_obj, "brute_force",
-                     True, nodes=count,
+                     nodes=count,
                      wall_time=time.perf_counter() - start)
 
 

@@ -54,7 +54,9 @@ class TestRerank:
                                               "--stats", str(stats)))
         assert code == 0
         payload = json.loads(stats.read_text())
-        assert all(row["optimal"] for row in payload["per_user"].values())
+        assert all(set(row) == {"objective", "solver", "nodes", "prunes",
+                                "wall_time"}
+                   for row in payload["per_user"].values())
 
     def test_dump_problems(self, tmp_path, capsys):
         out = tmp_path / "baskets.tsv"
@@ -218,6 +220,11 @@ class TestExitCodes:
     def test_unknown_flag_is_usage(self, capsys):
         code, _, err = run(capsys, "rerank", "--nope")
         assert code == 1 and "usage error" in err
+
+    def test_seed_only_for_ingest(self, tmp_path, capsys):
+        # only ingest draws random numbers
+        code, _, err = run(capsys, *rerank_args(tmp_path / "b.tsv", "--seed", "1"))
+        assert code == 1 and "--seed" in err
 
     def test_missing_file_is_data(self, tmp_path, capsys):
         out = tmp_path / "baskets.tsv"
@@ -394,3 +401,29 @@ def test_evaluate_report_independent_of_hash_seed(tmp_path):
         assert code == 0, err
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("verb", ["evaluate", "tune"])
+def test_empty_target_basket_warns_once(tmp_path, verb):
+    # One user's empty target basket is left out of Recall with a one-line
+    # warning, printed once although tune evaluates every grid point.
+    split = "test" if verb == "evaluate" else "validation"
+    source = toy_path(f"targets_{split}.jsonl")
+    rows = [json.loads(line) for line in open(source)]
+    rows[0]["basket"] = []
+    targets = write_text(tmp_path / "t.jsonl",
+                         "".join(json.dumps(row) + "\n" for row in rows))
+    if verb == "evaluate":
+        baskets = write_text(tmp_path / "b.tsv", "".join(
+            f"{row['user_id']}\t1\ti000\t0\n" for row in rows))
+        argv = evaluate_args(baskets)
+    else:
+        argv = TestTune().tune_args(tmp_path)
+    argv[argv.index(source)] = targets
+    got, _, err = run_process(*argv)
+    message = (f"warning: user {rows[0]['user_id']!r}: empty target basket, "
+               "excluded from Recall")
+    assert got == 0, err
+    assert err.count(message) == 1
+    assert "UserWarning" not in err and "Traceback" not in err
+    assert "metrics.py" not in err

@@ -298,3 +298,20 @@ class TestOriginalTopk:
         baskets = original_topk(cands, cfg)
         # H = 1 (only r1 above theta), one explore slot
         assert set(baskets["u"]) == {"r1", "x1"}
+
+    @pytest.mark.parametrize("rep, exp, k, theta, slots", [
+        ({"r1": 0.9, "r2": 0.8, "r3": 0.2}, {"x1": 0.5, "x2": 0.4, "x3": 0.3},
+         4, 0.5, (2, 2)),
+        # explore fills 1 of the 3 slots H(theta) = 1 leaves: H raised to 3
+        ({"r1": 0.9, "r2": 0.4, "r3": 0.3, "r4": 0.2}, {"x1": 0.5},
+         4, 0.5, (3, 1)),
+        # 2 candidates for 4 slots: every candidate gets one
+        ({"r1": 0.9}, {"x1": 0.5}, 4, 0.0, (1, 1)),
+    ], ids=["normal", "explore_limited", "short"])
+    def test_combined_matches_problem_slots(self, rep, exp, k, theta, slots):
+        cfg = RerankConfig(k=k, n=100, theta=theta, objective_kind="radiv")
+        basket = original_topk(combined_cands(rep, exp), cfg)["u"]
+        problem = TestBuildCombinedProblem().make(rep, exp, k, theta)
+        n_rep = sum(1 for i in basket if i in rep)
+        assert (n_rep, len(basket) - n_rep) == slots
+        assert (problem.repeat_slots, problem.explore_slots) == slots

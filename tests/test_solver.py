@@ -33,7 +33,7 @@ class TestTopkLinear:
         p = small_problem(exposure=ExposureModel("uniform"))
         sel = solve_topk_linear(p)
         assert sel.items == ["a", "b"]
-        assert sel.optimal and sel.solver_tag == "topk_linear"
+        assert sel.solver_tag == "topk_linear"
 
     def test_matches_bruteforce_on_raif(self):
         for seed in range(40):
