@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 from .dataset import ItemGroups, RepeatSets
 from .errors import DataError, UsageError
@@ -214,7 +214,13 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
                            groups: ItemGroups, categories: dict[str, str],
                            cfg: RerankConfig) -> RerankProblem:
     """Two-pool problem with threshold-derived repeat/explore slots
-    (``_slot_split``)."""
+    (``_slot_split``).
+
+    Pool membership, not ``reps``, defines the repeat flag, matching the
+    score files. ``reps`` stays so that both builders share one signature:
+    the tuner, the CLI's ``rerank`` verb and the benchmark pick a builder by
+    candidate kind and call it the same way.
+    """
     if cands.kind != "combined":
         raise UsageError("build_combined_problem needs a combined candidate set")
     rep_pairs = cands.repeat_list.get(user_id, [])
@@ -224,9 +230,7 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
 
     h, explore_slots, short = _slot_split(rep_pairs, len(exp_pairs), cfg)
 
-    # merged candidate list in within-basket ranking order; pool membership
-    # (not RepeatSets) defines the repeat flag, matching the score files
-    _ = reps
+    # merged candidate list in within-basket ranking order
     entries: list[tuple[str, float, bool]] = []
     for item, score in rep_pairs:
         entries.append((item, score, True))
@@ -250,6 +254,32 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
         objective_kind=cfg.objective_kind)
 
 
+def reweighted(problems: list[RerankProblem], cands: CandidateSet,
+               cfg: RerankConfig) -> list[RerankProblem]:
+    """The problems ``build_*_problem`` would make from ``cands`` under
+    ``cfg``, derived from ``problems`` built from ``cands`` under a config
+    with the same K and exposure.
+
+    Only the term weights, the objective kind and, for combined candidates,
+    the slot split depend on the config's other fields, so only those are
+    replaced; the candidate lists are shared, not copied.
+    """
+    rel_scale, eps, alpha, slam = _effective_weights(cfg)
+    out = []
+    for p in problems:
+        slots = {}
+        if p.kind == "combined":
+            h, explore_slots, short = _slot_split(
+                cands.repeat_list.get(p.user_id, []),
+                len(cands.explore_list.get(p.user_id, [])), cfg)
+            slots = dict(repeat_slots=h, explore_slots=explore_slots,
+                         short=short)
+        out.append(replace(
+            p, rel_scale=rel_scale, epsilon_eff=eps, alpha_eff=alpha,
+            signed_lambda=slam, objective_kind=cfg.objective_kind, **slots))
+    return out
+
+
 def _item_index(problem: RerankProblem) -> dict[str, int]:
     return {item: j for j, item in enumerate(problem.items)}
 
@@ -270,12 +300,11 @@ def ranked_selection(problem: RerankProblem, selection: list[str],
 
 
 def check_slots(problem: RerankProblem, selection: list[str],
-                idx: dict[str, int]) -> None:
+                n_rep: int) -> None:
     """Reject duplicate items and selections that break the slot counts;
-    ``idx`` maps each candidate item to its index in the problem."""
+    ``n_rep`` is the number of selected repeat candidates."""
     if len(set(selection)) != len(selection):
         raise UsageError("selection contains duplicates")
-    n_rep = sum(1 for i in selection if i in idx and problem.is_repeat[idx[i]])
     n_exp = len(selection) - n_rep
     if problem.kind == "unified":
         if len(selection) != problem.total_slots:
@@ -295,15 +324,21 @@ def objective_value(problem: RerankProblem, selection: list[str]) -> float:
     relevance before exposure weights apply.
     """
     idx = _item_index(problem)
-    check_slots(problem, selection, idx)
+    check_slots(problem, selection, sum(
+        1 for i in selection if i in idx and problem.is_repeat[idx[i]]))
     ranked = ranked_selection(problem, selection, idx)
+    return indexed_objective_value(problem, [idx[i] for i in ranked])
 
+
+def indexed_objective_value(problem: RerankProblem, chosen: list[int]) -> float:
+    """The objective of the candidates at indices ``chosen``, listed in
+    basket-position order, in O(len(chosen)). The caller checks the slots
+    (``check_slots``)."""
     rel_sum = 0.0
     fair_sum = 0.0
     n_rep = 0
     cats = set()
-    for pos, item in enumerate(ranked, start=1):
-        j = idx[item]
+    for pos, j in enumerate(chosen, start=1):
         rel_sum += problem.relevance[j]
         fair_sum += problem.fairness_coef[j] * problem.exposure.weight(pos)
         if problem.is_repeat[j]:

@@ -33,7 +33,8 @@ import time
 from dataclasses import dataclass, field
 
 from .errors import SolverError, UsageError
-from .objective import RerankProblem, objective_value, ranked_selection
+from .objective import (RerankProblem, check_slots, indexed_objective_value,
+                        objective_value, ranked_selection)
 
 _TIE_TOL = 1e-10
 _BRUTE_GUARD = 10 ** 7
@@ -111,7 +112,8 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
     term, so each item's contribution is independent of the rest of the
     selection. Each pool takes the items above its cut (the quota-th largest
     adjusted value); the slots left go to items tied with the cut, chosen
-    by the tie rule in ``_fill_ties``.
+    by the tie rule in ``_fill_ties``. The basket is scored from the chosen
+    candidate indices, which are already in basket-position order.
     """
     if not _linear_applicable(problem):
         raise UsageError("linear solver requires a zero diversity weight and "
@@ -135,7 +137,8 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
     chosen += _fill_ties(problem, chosen, ties)
     chosen.sort()  # candidate order is basket-position order
     selected = [problem.items[j] for j in chosen]
-    obj = objective_value(problem, selected)
+    check_slots(problem, selected, sum(problem.is_repeat[j] for j in chosen))
+    obj = indexed_objective_value(problem, chosen)
     return Selection(problem.user_id, selected, obj, "topk_linear",
                      wall_time=time.perf_counter() - start)
 

@@ -1,6 +1,12 @@
 """Grid search with the two-condition selection rule: stay within the
 Recall-drop tolerance of the unmodified baskets, then maximize mDR (for the
-diversity program) or minimize mFR (for the fairness program)."""
+diversity program) or minimize mFR (for the fairness program).
+
+``run_grid`` builds each validation user's problem once per call. Between
+grid points only the term weights change, and for combined candidates the
+H(theta) slot split, so each point re-weights the built problems instead of
+building them again.
+"""
 from __future__ import annotations
 
 import csv
@@ -12,8 +18,9 @@ from dataclasses import dataclass, field
 from .dataset import ItemGroups, RepeatSets, SplitDataset, ground_truth_repeat_ratio
 from .errors import DataError, UsageError
 from .metrics import MetricsReport, evaluate
-from .objective import (RerankConfig, build_combined_problem,
-                        build_unified_problem, choose_sign_mode, original_topk)
+from .objective import (RerankConfig, RerankProblem, build_combined_problem,
+                        build_unified_problem, choose_sign_mode, original_topk,
+                        reweighted)
 from .scorer import CandidateSet
 from .solver import rerank_all
 
@@ -69,24 +76,33 @@ class TuneResult:
     infeasible: bool
 
 
-def _build_problems(cands: CandidateSet, reps: RepeatSets, groups: ItemGroups,
-                    categories: dict[str, str], cfg: RerankConfig,
-                    user_ids: list[str]):
+def _build_problems(cands: CandidateSet, split: SplitDataset,
+                    reps: RepeatSets, groups: ItemGroups,
+                    categories: dict[str, str],
+                    cfg: RerankConfig) -> list[RerankProblem]:
+    """One problem per user with both candidates and targets in ``split``."""
+    users = sorted(set(cands.user_ids) & set(split.eval_targets))
+    if not users:
+        raise DataError("no overlap between candidate users and the split")
     builder = build_unified_problem if cands.kind == "unified" else build_combined_problem
-    return [builder(u, cands, reps, groups, categories, cfg) for u in user_ids]
+    return [builder(u, cands, reps, groups, categories, cfg) for u in users]
+
+
+def _solve_and_evaluate(problems: list[RerankProblem], split: SplitDataset,
+                        reps: RepeatSets, groups: ItemGroups,
+                        categories: dict[str, str], cfg: RerankConfig,
+                        rep_ratio_gt: float) -> MetricsReport:
+    return evaluate(rerank_all(problems), split, reps, groups, categories, cfg,
+                    rep_ratio_gt=rep_ratio_gt)
 
 
 def rerank_and_evaluate(cands: CandidateSet, split: SplitDataset,
                         reps: RepeatSets, groups: ItemGroups,
                         categories: dict[str, str], cfg: RerankConfig,
                         rep_ratio_gt: float) -> MetricsReport:
-    users = sorted(set(cands.user_ids) & set(split.eval_targets))
-    if not users:
-        raise DataError("no overlap between candidate users and the split")
-    problems = _build_problems(cands, reps, groups, categories, cfg, users)
-    baskets = rerank_all(problems, config_snapshot=cfg.snapshot())
-    return evaluate(baskets, split, reps, groups, categories, cfg,
-                    rep_ratio_gt=rep_ratio_gt)
+    problems = _build_problems(cands, split, reps, groups, categories, cfg)
+    return _solve_and_evaluate(problems, split, reps, groups, categories, cfg,
+                               rep_ratio_gt)
 
 
 def _grid_points(kind: str, cands_kind: str, grid: GridSpec,
@@ -128,8 +144,14 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
             lam=lam, theta=theta, sign_mode=sign_mode, objective_kind=kind)
 
     baseline_cfg = point_cfg(0.0, 0.0, base_theta, "relevance_only")
-    baseline = rerank_and_evaluate(cands, split, reps, groups, categories,
-                                   baseline_cfg, rep_ratio_gt)
+    problems = _build_problems(cands, split, reps, groups, categories,
+                               baseline_cfg)
+
+    def report_at(pcfg: RerankConfig) -> MetricsReport:
+        return _solve_and_evaluate(reweighted(problems, cands, pcfg), split,
+                                   reps, groups, categories, pcfg, rep_ratio_gt)
+
+    baseline = report_at(baseline_cfg)
     floor = (1.0 - cfg.recall_tolerance) * baseline.recall
 
     results: list[tuple[RerankConfig, MetricsReport]] = []
@@ -139,8 +161,7 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
     for weight, lam, theta in _grid_points(cfg.objective_kind, cands.kind,
                                            grid, theta_default):
         pcfg = point_cfg(weight, lam, theta, cfg.objective_kind)
-        report = rerank_and_evaluate(cands, split, reps, groups, categories,
-                                     pcfg, rep_ratio_gt)
+        report = report_at(pcfg)
         results.append((pcfg, report))
         if report.recall < floor:
             continue

@@ -9,6 +9,8 @@ from basket_rerank.errors import SolverError, UsageError
 from basket_rerank.objective import (OBJECTIVE_KINDS, ExposureModel,
                                      RerankConfig, build_combined_problem,
                                      build_unified_problem, objective_value)
+from basket_rerank import solver as solver_module
+from basket_rerank.scorer import CandidateSet
 from basket_rerank.solver import (rerank_all, solve, solve_branch_and_bound,
                                   solve_bruteforce, solve_topk_linear)
 from basket_rerank.synth import (random_combined_instance,
@@ -273,6 +275,30 @@ def test_tie_heavy_matches_oracle(kind, objective_kind, exposure):
         for sel in (solve(p), solve_branch_and_bound(p)):
             assert sel.items == oracle.items, f"seed {seed} {sel.solver_tag}"
             assert sel.objective == pytest.approx(oracle.objective, abs=1e-9)
+            # the closed form scores its own basket, in objective_value's
+            # float order
+            assert sel.objective == objective_value(p, sel.items)
+
+
+@pytest.mark.parametrize("kind", ["unified", "combined"])
+def test_closed_form_rejects_broken_slot_counts(kind, monkeypatch):
+    # a tie fill that adds nothing leaves a pool one item short
+    monkeypatch.setattr(solver_module, "_fill_ties",
+                        lambda problem, forced, ties: [])
+    p = tie_heavy_problem(0, kind, "repeat_only", "uniform")
+    with pytest.raises(UsageError, match="selection size|slot violation"):
+        solve_topk_linear(p)
+
+
+def test_closed_form_rejects_duplicate_items():
+    # "a" sits in both pools and tops each, so both copies are chosen
+    cands = CandidateSet(kind="combined", n=4,
+                         repeat_list={"u": [("a", 0.9), ("b", 0.1)]},
+                         explore_list={"u": [("a", 0.8), ("x", 0.2)]})
+    cfg = RerankConfig(k=2, n=4, theta=0.5, exposure=ExposureModel("uniform"))
+    p = build_combined_problem("u", cands, {}, groups_for("abx", "a"), {}, cfg)
+    with pytest.raises(UsageError, match="duplicates"):
+        solve_topk_linear(p)
 
 
 def test_rounding_tie_goes_to_smaller_sequence():

@@ -1,15 +1,20 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
 from basket_rerank.dataset import ground_truth_repeat_ratio
 from basket_rerank.errors import UsageError
-from basket_rerank.objective import RerankConfig
+from basket_rerank.objective import (ExposureModel, RerankConfig,
+                                     build_combined_problem,
+                                     build_unified_problem, choose_sign_mode,
+                                     compute_h_theta, original_topk,
+                                     reweighted)
 from basket_rerank.scorer import CandidateSet, rank_pairs
-from basket_rerank.tuner import (GridSpec, final_evaluate, run_grid,
-                                 theta_deciles, write_chosen_config,
-                                 write_sweep_csv)
+from basket_rerank.tuner import (GridSpec, final_evaluate,
+                                 rerank_and_evaluate, run_grid, theta_deciles,
+                                 write_chosen_config, write_sweep_csv)
 from tests.conftest import TOY_K, TOY_N
 
 
@@ -172,6 +177,130 @@ class TestRunGrid:
         assert runs[0].best.snapshot() == runs[1].best.snapshot()
         assert [r.to_dict() for _, r in runs[0].results] == \
             [r.to_dict() for _, r in runs[1].results]
+
+
+def reference_grid(split, cands, reps, groups, categories, cfg, grid):
+    """``run_grid`` rebuilt on the public ``rerank_and_evaluate``, which
+    builds every problem afresh at every point: (best config, per-point
+    results, baseline report)."""
+    radiv = cfg.objective_kind == "radiv"
+    gt = ground_truth_repeat_ratio(split, reps)
+    if cands.kind == "unified":
+        base_theta = 0.0
+        seconds = [(lam, 0.0) for lam in grid.lambda_grid]
+    else:
+        deciles = theta_deciles(cands)
+        base_theta = deciles[0]
+        thetas = grid.theta_grid if grid.theta_grid is not None else deciles
+        seconds = [(0.0, theta) for theta in thetas]
+    sign_mode = choose_sign_mode(
+        original_topk(cands, dataclasses.replace(cfg, theta=base_theta)),
+        reps, gt)
+
+    def at(weight, lam, theta, kind):
+        pcfg = dataclasses.replace(
+            cfg, epsilon=weight if radiv else 0.0,
+            alpha=0.0 if radiv else weight, lam=lam, theta=theta,
+            sign_mode=sign_mode, objective_kind=kind)
+        return pcfg, rerank_and_evaluate(cands, split, reps, groups,
+                                         categories, pcfg, gt)
+
+    baseline_cfg, baseline = at(0.0, 0.0, base_theta, "relevance_only")
+    weights = grid.epsilon_grid if radiv else grid.alpha_grid
+    results = [at(w, lam, theta, cfg.objective_kind)
+               for w in weights for lam, theta in seconds]
+    floor = (1.0 - cfg.recall_tolerance) * baseline.recall
+    feasible = [(p, r) for p, r in results if r.recall >= floor]
+    if not feasible:
+        return baseline_cfg, results, baseline
+    # max keeps the first of equal scores: the lexicographically smallest
+    best, _ = max(feasible, key=lambda pr: pr[1].m_dr if radiv else -pr[1].m_fr)
+    return best, results, baseline
+
+
+def cut_pools(cands):
+    """The toy combined candidates with two validation users' pools cut.
+
+    u003 keeps two explore items, so a theta above every repeat score
+    raises its repeat slots from H(theta) = 0 to K - 2. u004 keeps three
+    repeat items and no explore item, so its basket is short."""
+    repeat_list = dict(cands.repeat_list)
+    explore_list = dict(cands.explore_list)
+    explore_list["u003"] = explore_list["u003"][:2]
+    repeat_list["u004"] = repeat_list["u004"][:3]
+    explore_list["u004"] = []
+    return dataclasses.replace(cands, repeat_list=repeat_list,
+                               explore_list=explore_list)
+
+
+class TestBuildOnce:
+    """``run_grid`` builds each problem once and re-weights it per point;
+    every point must match a fresh build."""
+
+    THETAS = [0.1, 0.5, 2.0]
+
+    def test_cut_pools_reach_every_slot_branch(self, toy_combined_cands,
+                                               toy_groups, toy_categories):
+        cands = cut_pools(toy_combined_cands)
+        cfg = base_cfg("raif", theta=max(self.THETAS))
+        raised = build_combined_problem("u003", cands, {}, toy_groups,
+                                        toy_categories, cfg)
+        rep_scores = [s for _, s in cands.repeat_list["u003"]]
+        assert compute_h_theta(rep_scores, cfg.theta, TOY_K) == 0
+        assert (raised.repeat_slots, raised.explore_slots) == (TOY_K - 2, 2)
+        assert not raised.short
+        short = build_combined_problem("u004", cands, {}, toy_groups,
+                                       toy_categories, cfg)
+        assert short.short and (short.repeat_slots, short.explore_slots) == (3, 0)
+
+    @pytest.mark.parametrize("exposure", ["uniform", "log_discount"])
+    @pytest.mark.parametrize("kind", ["radiv", "raif"])
+    @pytest.mark.parametrize("candidates, thetas", [
+        ("unified", None), ("combined", THETAS), ("combined", None)])
+    def test_matches_fresh_builds(self, candidates, thetas, kind, exposure,
+                                  toy_validation, toy_cands,
+                                  toy_combined_cands, toy_reps, toy_groups,
+                                  toy_categories):
+        cands = (toy_cands if candidates == "unified"
+                 else cut_pools(toy_combined_cands))
+        cfg = base_cfg(kind, exposure=ExposureModel(exposure))
+        grid = small_grid(theta_grid=thetas)
+        args = (toy_validation, cands, toy_reps, toy_groups, toy_categories,
+                cfg, grid)
+        result = run_grid(*args)
+        best, results, baseline = reference_grid(*args)
+
+        def text(report):  # JSON, so that NaN metrics compare equal
+            return json.dumps(report.to_dict(), sort_keys=True)
+
+        assert [(p.snapshot(), text(r)) for p, r in result.results] == \
+            [(p.snapshot(), text(r)) for p, r in results]
+        assert result.best.snapshot() == best.snapshot()
+        assert text(result.baseline) == text(baseline)
+
+    @pytest.mark.parametrize("candidates", ["unified", "combined"])
+    def test_reweighted_problems_equal_fresh_builds(self, candidates,
+                                                    toy_validation, toy_cands,
+                                                    toy_combined_cands,
+                                                    toy_reps, toy_groups,
+                                                    toy_categories):
+        # every field, including those no solver reads (short,
+        # objective_kind), as the builders would set it at each point
+        cands = (toy_cands if candidates == "unified"
+                 else cut_pools(toy_combined_cands))
+        result = run_grid(toy_validation, cands, toy_reps, toy_groups,
+                          toy_categories, base_cfg("radiv"),
+                          small_grid(theta_grid=self.THETAS))
+        builder = (build_unified_problem if candidates == "unified"
+                   else build_combined_problem)
+
+        def build(cfg):
+            return [builder(u, cands, toy_reps, toy_groups, toy_categories, cfg)
+                    for u in cands.user_ids]
+
+        built = build(base_cfg("relevance_only"))
+        for pcfg, _ in result.results:
+            assert reweighted(built, cands, pcfg) == build(pcfg)
 
 
 class TestFinalEvaluate:
