@@ -5,7 +5,15 @@ diversity program) or minimize mFR (for the fairness program).
 ``run_grid`` builds each validation user's problem once per call. Between
 grid points only the term weights change, and for combined candidates the
 H(theta) slot split, so each point re-weights the built problems instead of
-building them again.
+building them again. Two exact memos, local to one call, skip repeated
+work:
+
+* per user, the previous point's problem key (weights, slots, objective
+  kind) and selection: a user whose re-weighted problem is unchanged keeps
+  that selection without a solve. Points run weight-major with theta
+  ascending, so equal H(theta) splits come one after another;
+* per distinct basket set, the metrics report: a point whose baskets equal
+  an earlier point's reuses that report with its own config.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ from .objective import (RerankConfig, RerankProblem, build_combined_problem,
                         build_unified_problem, choose_sign_mode, original_topk,
                         reweighted)
 from .scorer import CandidateSet
-from .solver import rerank_all
+from .solver import RerankedBaskets, Selection, rerank_all
 
 DEFAULT_EPSILON_GRID = [0, 0.001, 0.01, 0.02, 0.04, 0.06, 0.08, 0.1,
                         0.12, 0.14, 0.16, 0.18, 0.2]
@@ -45,7 +53,7 @@ class GridSpec:
             values = getattr(self, name)
             if values is None and not weights:
                 continue  # default: deciles of the repeat scores
-            if not values and weights:
+            if not values:
                 raise UsageError(f"{name} is empty")
             if not all(math.isfinite(v) for v in values):
                 raise UsageError(f"{name} contains non-finite values")
@@ -88,21 +96,20 @@ def _build_problems(cands: CandidateSet, split: SplitDataset,
     return [builder(u, cands, reps, groups, categories, cfg) for u in users]
 
 
-def _solve_and_evaluate(problems: list[RerankProblem], split: SplitDataset,
-                        reps: RepeatSets, groups: ItemGroups,
-                        categories: dict[str, str], cfg: RerankConfig,
-                        rep_ratio_gt: float) -> MetricsReport:
-    return evaluate(rerank_all(problems), split, reps, groups, categories, cfg,
-                    rep_ratio_gt=rep_ratio_gt)
-
-
 def rerank_and_evaluate(cands: CandidateSet, split: SplitDataset,
                         reps: RepeatSets, groups: ItemGroups,
                         categories: dict[str, str], cfg: RerankConfig,
                         rep_ratio_gt: float) -> MetricsReport:
     problems = _build_problems(cands, split, reps, groups, categories, cfg)
-    return _solve_and_evaluate(problems, split, reps, groups, categories, cfg,
-                               rep_ratio_gt)
+    return evaluate(rerank_all(problems), split, reps, groups, categories, cfg,
+                    rep_ratio_gt=rep_ratio_gt)
+
+
+def _problem_key(problem: RerankProblem) -> tuple:
+    """What a re-weighted problem changes between grid points."""
+    return (problem.rel_scale, problem.epsilon_eff, problem.alpha_eff,
+            problem.signed_lambda, problem.repeat_slots, problem.explore_slots,
+            problem.short, problem.objective_kind)
 
 
 def _grid_points(kind: str, cands_kind: str, grid: GridSpec,
@@ -147,9 +154,30 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
     problems = _build_problems(cands, split, reps, groups, categories,
                                baseline_cfg)
 
+    # user id -> problem key and selection at the previous point
+    keys: dict[str, tuple] = {}
+    selections: dict[str, Selection] = {}
+    # basket set (each user's items, in user-id order) -> its report. Every
+    # point of one call shares K, exposure, omega, log base and
+    # rep_ratio_gt, which are all that ``evaluate`` reads besides the
+    # baskets, so equal baskets give an equal report but for its config.
+    reports: dict[tuple, MetricsReport] = {}
+
     def report_at(pcfg: RerankConfig) -> MetricsReport:
-        return _solve_and_evaluate(reweighted(problems, cands, pcfg), split,
-                                   reps, groups, categories, pcfg, rep_ratio_gt)
+        keyed = [(_problem_key(p), p) for p in reweighted(problems, cands, pcfg)]
+        selections.update(rerank_all(
+            [p for key, p in keyed if keys.get(p.user_id) != key]).baskets)
+        keys.update((p.user_id, key) for key, p in keyed)
+        # problems are in user-id order, as rerank_all solves them
+        baskets = {p.user_id: selections[p.user_id] for _, p in keyed}
+        basket_set = tuple(tuple(s.items) for s in baskets.values())
+        if basket_set in reports:
+            return dataclasses.replace(reports[basket_set],
+                                       config=pcfg.snapshot())
+        reports[basket_set] = evaluate(RerankedBaskets(baskets), split, reps,
+                                       groups, categories, pcfg,
+                                       rep_ratio_gt=rep_ratio_gt)
+        return reports[basket_set]
 
     baseline = report_at(baseline_cfg)
     floor = (1.0 - cfg.recall_tolerance) * baseline.recall

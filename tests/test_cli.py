@@ -308,6 +308,15 @@ class TestBadInputExitCodes:
             *TestTune().tune_args(tmp_path, "--epsilon-grid", "0,nan"))
         assert got == 1 and "non-finite" in err and "Traceback" not in err
 
+    def test_tune_empty_theta_grid(self, tmp_path):
+        args = TestTune().tune_args(tmp_path, "--theta-grid", "")
+        at = args.index("--scores")
+        args[at:at + 2] = ["--repeat-scores", toy_path("scores_repeat.tsv"),
+                           "--explore-scores", toy_path("scores_explore.tsv")]
+        got, _, err = run_process(*args)
+        assert got == 1 and "Traceback" not in err
+        assert err.splitlines() == ["usage error: theta_grid is empty"]
+
     def test_score_n_zero(self, tmp_path):
         got, _, err = run_process("score", "--train", toy_path("train.jsonl"),
                                   "--n", "0", "--out", str(tmp_path))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from basket_rerank import tuner
 from basket_rerank.dataset import ground_truth_repeat_ratio
 from basket_rerank.errors import UsageError
 from basket_rerank.objective import (ExposureModel, RerankConfig,
@@ -31,6 +32,30 @@ def base_cfg(kind="radiv", **kwargs):
     return RerankConfig(**defaults)
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of the tuner's ``evaluate`` calls and of the problems it
+    passes to ``rerank_all`` (one solve each)."""
+    counts = {"evaluations": 0, "solves": 0}
+    evaluate, rerank_all = tuner.evaluate, tuner.rerank_all
+
+    def counting_evaluate(*args, **kwargs):
+        counts["evaluations"] += 1
+        return evaluate(*args, **kwargs)
+
+    def counting_rerank_all(problems, *args, **kwargs):
+        counts["solves"] += len(problems)
+        return rerank_all(problems, *args, **kwargs)
+
+    monkeypatch.setattr(tuner, "evaluate", counting_evaluate)
+    monkeypatch.setattr(tuner, "rerank_all", counting_rerank_all)
+    return counts
+
+
+def n_users(cands, split):
+    return len(set(cands.user_ids) & set(split.eval_targets))
+
+
 class TestGridSpec:
     def test_dedup_and_sort(self):
         g = GridSpec(epsilon_grid=[0.2, 0.0, 0.2])
@@ -39,6 +64,10 @@ class TestGridSpec:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             GridSpec(lambda_grid=[])
+
+    def test_empty_theta_rejected(self):
+        with pytest.raises(UsageError, match="theta_grid is empty"):
+            GridSpec(theta_grid=[])
 
     def test_negative_rejected(self):
         with pytest.raises(UsageError):
@@ -169,6 +198,36 @@ class TestRunGrid:
             run_grid(toy_test_split, toy_cands, toy_reps, toy_groups,
                      toy_categories, base_cfg("radiv"), small_grid())
 
+    def test_equal_slot_splits_reuse_work(self, counted, toy_validation,
+                                          toy_combined_cands, toy_reps,
+                                          toy_groups, toy_categories):
+        # both thresholds lie above every repeat score, so every user has
+        # the same H(theta) at both: the second theta of each weight
+        # repeats the first one's problems and baskets
+        grid = small_grid(theta_grid=[2.0, 3.0])
+        result = run_grid(toy_validation, toy_combined_cands, toy_reps,
+                          toy_groups, toy_categories, base_cfg("raif"), grid)
+        points = len(result.results) + 1  # with the baseline
+        users = n_users(toy_combined_cands, toy_validation)
+        assert counted["evaluations"] < points
+        # fewer than users * points: only the first theta of each weight solves
+        assert counted["solves"] == users * (1 + len(grid.alpha_grid))
+        for (cfg2, report2), (cfg3, report3) in zip(result.results[::2],
+                                                    result.results[1::2]):
+            assert (cfg2.theta, cfg3.theta) == (2.0, 3.0)
+            assert report3.config == cfg3.snapshot() != report2.config
+            assert dataclasses.replace(report3, config={}) == \
+                dataclasses.replace(report2, config={})
+
+    def test_report_config_is_per_point(self, counted, toy_validation,
+                                        toy_cands, toy_reps, toy_groups,
+                                        toy_categories):
+        result = run_grid(toy_validation, toy_cands, toy_reps, toy_groups,
+                          toy_categories, base_cfg("radiv"), small_grid())
+        assert counted["evaluations"] < len(result.results) + 1  # a memo hit
+        for pcfg, report in result.results:
+            assert report.config == pcfg.snapshot()
+
     def test_deterministic(self, toy_validation, toy_cands, toy_reps,
                            toy_groups, toy_categories):
         runs = [run_grid(toy_validation, toy_cands, toy_reps, toy_groups,
@@ -277,6 +336,29 @@ class TestBuildOnce:
             [(p.snapshot(), text(r)) for p, r in results]
         assert result.best.snapshot() == best.snapshot()
         assert text(result.baseline) == text(baseline)
+
+    @pytest.mark.parametrize("exposure", ["uniform", "log_discount"])
+    @pytest.mark.parametrize("kind", ["radiv", "raif"])
+    @pytest.mark.parametrize("candidates, thetas", [
+        ("unified", None), ("combined", THETAS), ("combined", None)])
+    def test_grids_hit_the_memos(self, candidates, thetas, kind, exposure,
+                                 counted, toy_validation, toy_cands,
+                                 toy_combined_cands, toy_reps, toy_groups,
+                                 toy_categories):
+        # so that test_matches_fresh_builds compares reused reports and
+        # selections, not only fresh ones: every grid repeats a basket set,
+        # and on combined candidates some users keep their H(theta) split
+        # from one theta to the next
+        cands = (toy_cands if candidates == "unified"
+                 else cut_pools(toy_combined_cands))
+        result = run_grid(toy_validation, cands, toy_reps, toy_groups,
+                          toy_categories,
+                          base_cfg(kind, exposure=ExposureModel(exposure)),
+                          small_grid(theta_grid=thetas))
+        points = len(result.results) + 1  # with the baseline
+        assert counted["evaluations"] < points
+        if candidates == "combined":
+            assert counted["solves"] < n_users(cands, toy_validation) * points
 
     @pytest.mark.parametrize("candidates", ["unified", "combined"])
     def test_reweighted_problems_equal_fresh_builds(self, candidates,
