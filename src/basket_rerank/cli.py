@@ -420,11 +420,11 @@ def _cmd_tune(args) -> int:
                          f"{targets.split_label!r}")
     cfg = _make_config(args, cands, reps,
                        ground_truth_repeat_ratio(targets, reps))
-    grid = GridSpec(
-        epsilon_grid=args.epsilon_grid or GridSpec().epsilon_grid,
-        alpha_grid=args.alpha_grid or GridSpec().alpha_grid,
-        lambda_grid=args.lambda_grid or GridSpec().lambda_grid,
-        theta_grid=args.theta_grid)
+    # only the grids given on the command line, so that an empty one is
+    # rejected rather than replaced by the default
+    grid = GridSpec(**{name: getattr(args, name) for name in
+                       ("epsilon_grid", "alpha_grid", "lambda_grid", "theta_grid")
+                       if getattr(args, name) is not None})
     if args.dry_run:
         n_weights = len(grid.epsilon_grid if args.mode == "radiv"
                         else grid.alpha_grid)

@@ -10,6 +10,7 @@ bought before.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -67,6 +68,9 @@ def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
                 per_user[uid] = []
             elif item in user_items:
                 raise DataError(f"{path}:{lineno}: duplicate (user,item) row ({uid},{item})")
+            # one string per item id, shared by every user's list: ids
+            # repeat across users, so this keeps a fraction of the copies
+            item = sys.intern(item)
             user_items.add(item)
             per_user[uid].append((item, score))
     if not per_user:

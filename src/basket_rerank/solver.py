@@ -4,11 +4,16 @@ The global programs decompose across users (no cross-user terms or
 constraints), so each user's basket is found independently. ``solve`` picks
 one exact algorithm per problem shape:
 
-* ``solve_topk_linear`` -- closed form for objectives that are additive per
-  item: no coverage term, and no fairness term that depends on basket
-  position (``_position_dependent``). Each pool takes its top items by
-  adjusted per-item value.
-* ``solve_branch_and_bound`` -- every other problem, in one function.
+* ``solve_topk_linear`` -- closed form for problems with no fairness term
+  that depends on basket position (``_position_dependent``) and either no
+  coverage term or at most one pool with slots: every unified problem of
+  that kind, and combined ones whose H(theta) split gives every slot to one
+  pool. Without coverage, each pool takes its top items by adjusted
+  per-item value. With coverage, the gain is separable and concave per
+  category, so the pool's largest marginal gains are an optimum
+  (``_coverage_cut``).
+* ``solve_branch_and_bound`` -- every other problem, in one function:
+  coverage with slots in both pools, and position-dependent exposure.
   Candidates are visited in within-basket ranking order (relevance desc, id
   asc), so the t-th included item occupies position t and exposure weights
   are known during the search. A node is pruned by an admissible bound:
@@ -101,40 +106,52 @@ def _position_dependent(problem: RerankProblem) -> bool:
     return problem.alpha_eff != 0.0 and problem.exposure.kind != "uniform"
 
 
-def _linear_applicable(problem: RerankProblem) -> bool:
-    return problem.epsilon_eff == 0.0 and not _position_dependent(problem)
+def _closed_form_applicable(problem: RerankProblem) -> bool:
+    """No position-dependent fairness term and, with a coverage term, at
+    most one pool with slots."""
+    return not _position_dependent(problem) and (
+        problem.epsilon_eff == 0.0
+        or not (problem.repeat_slots and problem.explore_slots))
 
 
 def solve_topk_linear(problem: RerankProblem) -> Selection:
-    """Closed form for purely additive objectives.
+    """Closed form for problems without a position-dependent term.
 
-    Requires no diversity term and either uniform exposure or no fairness
-    term, so each item's contribution is independent of the rest of the
-    selection. Each pool takes the items above its cut (the quota-th largest
-    adjusted value); the slots left go to items tied with the cut, chosen
-    by the tie rule in ``_fill_ties``. The basket is scored from the chosen
-    candidate indices, which are already in basket-position order.
+    Without a coverage term each item's contribution is independent of the
+    rest of the selection: each pool takes the items above its cut (the
+    quota-th largest adjusted value) and leaves one tie group, the items
+    within the tolerance of the cut. With a coverage term and one pool with
+    slots, ``_coverage_cut`` finds the forced items and per-category tie
+    groups. ``_fill_ties`` then fills the slots left by the tie rule, and
+    the basket is scored from the chosen candidate indices, which are
+    already in basket-position order.
     """
-    if not _linear_applicable(problem):
-        raise UsageError("linear solver requires a zero diversity weight and "
-                         "uniform exposure when the fairness term is active")
+    if not _closed_form_applicable(problem):
+        raise UsageError("the closed form requires a fairness term that does "
+                         "not depend on position and, with a diversity term, "
+                         "at most one pool with slots")
     start = time.perf_counter()
     adj = _adjusted_values(problem)
     chosen: list[int] = []
-    ties: list[tuple[list[int], int]] = []
+    pools: list[tuple[int, list[tuple[list[int], int, int]]]] = []
     for pool, quota in zip(*_checked_pools(problem)):
         if not quota:
             continue
-        pool.sort(key=adj.__getitem__, reverse=True)
-        cut = adj[pool[quota - 1]]
-        lo, hi = quota - 1, quota
-        while lo and adj[pool[lo - 1]] <= cut + _TIE_TOL:
-            lo -= 1
-        while hi < len(pool) and adj[pool[hi]] >= cut - _TIE_TOL:
-            hi += 1
-        chosen += pool[:lo]
-        ties.append((sorted(pool[lo:hi]), quota - lo))
-    chosen += _fill_ties(problem, chosen, ties)
+        if problem.epsilon_eff:
+            forced, groups = _coverage_cut(problem, pool, quota, adj)
+        else:
+            pool.sort(key=adj.__getitem__, reverse=True)
+            cut = adj[pool[quota - 1]]
+            lo, hi = quota - 1, quota
+            while lo and adj[pool[lo - 1]] <= cut + _TIE_TOL:
+                lo -= 1
+            while hi < len(pool) and adj[pool[hi]] >= cut - _TIE_TOL:
+                hi += 1
+            forced = pool[:lo]
+            groups = [(sorted(pool[lo:hi]), quota - lo, quota - lo)]
+        chosen += forced
+        pools.append((quota - len(forced), groups))
+    chosen += _fill_ties(problem, chosen, pools)
     chosen.sort()  # candidate order is basket-position order
     selected = [problem.items[j] for j in chosen]
     check_slots(problem, selected, sum(problem.is_repeat[j] for j in chosen))
@@ -143,45 +160,152 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
                      wall_time=time.perf_counter() - start)
 
 
+def _coverage_cut(problem: RerankProblem, pool: list[int], quota: int,
+                  adj: list[float]
+                  ) -> tuple[list[int], list[tuple[list[int], int, int]]]:
+    """Forced candidates and tie groups of the one pool with slots when
+    each newly covered category adds a bonus, epsilon / K.
+
+    Coverage is then a separable concave gain per category: a category's
+    marginals are its best adjusted value plus the bonus, then its other
+    adjusted values in descending order, and the pool's ``quota`` largest
+    marginals are an optimum (greedy for separable concave allocation;
+    Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 14).
+
+    With v the quota-th largest marginal, each category gives, in this
+    order: its items above v as forced, and its items tied with v as a
+    group of 0 to all; else its items tied with v as a group of ``cover`` to
+    all; else, if its best item plus the bonus ties with or beats v, its
+    items tied with the best as a group of ``cover`` to 1. ``cover`` is 1
+    when the best item plus the bonus beats v, 0 otherwise. The order
+    matters when the bonus is within the tie tolerance.
+    """
+    bonus = problem.epsilon_eff / problem.k
+    category = problem.category
+    pool.sort(key=adj.__getitem__, reverse=True)
+    by_cat: dict[str, list[int]] = {}
+    marginals: list[float] = []
+    for j in pool:
+        members = by_cat.get(category[j])
+        if members is None:
+            by_cat[category[j]] = [j]
+            marginals.append(adj[j] + bonus)
+        else:
+            members.append(j)
+            marginals.append(adj[j])
+    marginals.sort(reverse=True)
+    v = marginals[quota - 1]
+    forced: list[int] = []
+    groups: list[tuple[list[int], int, int]] = []
+    for members in by_cat.values():
+        top = adj[members[0]]
+        cover = int(top + bonus > v + _TIE_TOL)
+        # members are in descending adjusted value: the forced ones, then
+        # the ones tied with v, form two leading runs
+        above = 0
+        while above < len(members) and adj[members[above]] > v + _TIE_TOL:
+            above += 1
+        near = above
+        while near < len(members) and adj[members[near]] >= v - _TIE_TOL:
+            near += 1
+        if above:
+            forced += members[:above]
+            if near > above:
+                groups.append((sorted(members[above:near]), 0, near - above))
+        elif near:
+            groups.append((sorted(members[:near]), cover, near))
+        elif top + bonus >= v - _TIE_TOL:
+            best = 1
+            while best < len(members) and adj[members[best]] >= top - _TIE_TOL:
+                best += 1
+            groups.append((sorted(members[:best]), cover, 1))
+    # every group's count is fixed when there is one group, or when the
+    # slots left equal the sum of the groups' lo or of their caps
+    left = quota - len(forced)
+    los = [lo for _, lo, _ in groups]
+    caps = [min(hi, len(members)) for members, _, hi in groups]
+    if len(groups) == 1:
+        counts = [left]
+    elif left == sum(los):
+        counts = los
+    elif left == sum(caps):
+        counts = caps
+    else:
+        return forced, groups
+    return forced, [(members, c, c)
+                    for (members, _, _), c in zip(groups, counts)]
+
+
 def _fill_ties(problem: RerankProblem, forced: list[int],
-               ties: list[tuple[list[int], int]]) -> list[int]:
-    """Choose ``need`` of each pool's tied candidates (in candidate order)
-    so that, with the ``forced`` ones, the position-ordered id sequence is
-    the smallest."""
+               pools: list[tuple[int, list[tuple[list[int], int, int]]]]
+               ) -> list[int]:
+    """Choose each pool's ``total`` candidates from its tie groups, each
+    group (candidate indices in candidate order, lo, hi) giving between lo
+    and hi of them, so that, with the ``forced`` ones, the position-ordered
+    id sequence is the smallest."""
     rel = problem.relevance
-    if all(need == len(tied) or rel[tied[0]] == rel[tied[-1]]
-           for tied, need in ties):
-        # one relevance: the tied items fill one block of positions in id
-        # order, so the first ``need`` are the smallest ids
-        return [j for tied, need in ties for j in tied[:need]]
-    # fill positions in ranking order: each takes the smallest id that
-    # still leaves every pool enough tied candidates after it
+    if all(lo == hi and (lo == len(members) or not lo
+                         or rel[members[0]] == rel[members[-1]])
+           for _, groups in pools for members, lo, hi in groups):
+        # the items left out of each group share one relevance: they fill
+        # one block of positions in id order, so the first ``need`` are the
+        # smallest ids
+        return [j for _, groups in pools for members, need, _ in groups
+                for j in members[:need]]
+    # Fill positions in ranking order, each with the smallest id that keeps
+    # a completion: taking candidate j skips every candidate before it, so
+    # with cnt[h] group h's members from j on, j is feasible when every
+    # group can still reach its lo (lo <= cnt) and every pool's slots left
+    # fit in the sum of min(hi, cnt). That test does not depend on j's
+    # group and fails from some j on, so one walk from the cursor finds
+    # every feasible option. A member of a group already at its lo also
+    # needs a slot beyond the pool's summed lo.
     items, n = problem.items, problem.n_candidates
-    pools = [tied for tied, _ in ties]
-    needs = [need for _, need in ties]
+    members = [m for _, groups in pools for m, _, _ in groups]
+    pool_of = [p for p, (_, groups) in enumerate(pools) for _ in groups]
+    lo = [g_lo for _, groups in pools for _, g_lo, _ in groups]
+    hi = [g_hi for _, groups in pools for _, _, g_hi in groups]
+    left = [total for total, _ in pools]
+    group_of = {j: g for g, m in enumerate(members) for j in m}
+    remaining = [len(m) for m in members]  # members from the cursor on
     forced = sorted(forced)
-
-    def fits(j: int, pool_of_j: int | None) -> bool:
-        # pool_of_j is None for a forced candidate
-        return all(len(t) - bisect.bisect_right(t, j) >= need - (q == pool_of_j)
-                   for q, (t, need) in enumerate(zip(pools, needs)))
-
     taken: list[int] = []
     cursor = next_forced = 0
-    while any(needs):
+    while any(left):
         stop = forced[next_forced] if next_forced < len(forced) else n
-        options = [(items[j], j, q) for q, t in enumerate(pools) if needs[q]
-                   for j in t[bisect.bisect_left(t, cursor):
-                              bisect.bisect_left(t, stop)] if fits(j, q)]
-        if stop < n and fits(stop, None):
-            options.append((items[stop], stop, None))
-        _, j, q = min(options)
-        if q is None:
+        cnt = remaining[:]
+        room = [0] * len(left)
+        slack = left[:]
+        for g, p in enumerate(pool_of):
+            room[p] += min(hi[g], cnt[g])
+            slack[p] -= max(lo[g], 0)
+        short = sum(lo[g] > cnt[g] for g in range(len(cnt)))
+        best = -1
+        for j in range(cursor, min(stop + 1, n)):
+            if short or any(r < t for r, t in zip(room, left)):
+                break
+            g = group_of.get(j, -1)
+            if j == stop or (g >= 0 and hi[g] and left[pool_of[g]]
+                             and (lo[g] > 0 or slack[pool_of[g]])):
+                if best < 0 or items[j] < items[best]:
+                    best = j
+            if g >= 0:
+                if cnt[g] <= hi[g]:
+                    room[pool_of[g]] -= 1
+                cnt[g] -= 1
+                short += cnt[g] == lo[g] - 1
+        for j in range(cursor, best + 1):
+            if j in group_of:
+                remaining[group_of[j]] -= 1
+        if best == stop:
             next_forced += 1
         else:
-            needs[q] -= 1
-            taken.append(j)
-        cursor = j + 1
+            g = group_of[best]
+            lo[g] -= 1
+            hi[g] -= 1
+            left[pool_of[g]] -= 1
+            taken.append(best)
+        cursor = best + 1
     return taken
 
 
@@ -332,9 +456,9 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
 
 
 def solve(problem: RerankProblem) -> Selection:
-    """The user's exact basket: the closed form for additive problems,
-    branch-and-bound otherwise."""
-    if _linear_applicable(problem):
+    """The user's exact basket: the closed form where it applies
+    (``_closed_form_applicable``), branch-and-bound otherwise."""
+    if _closed_form_applicable(problem):
         return solve_topk_linear(problem)
     return solve_branch_and_bound(problem)
 

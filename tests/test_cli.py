@@ -317,6 +317,14 @@ class TestBadInputExitCodes:
         assert got == 1 and "Traceback" not in err
         assert err.splitlines() == ["usage error: theta_grid is empty"]
 
+    @pytest.mark.parametrize("flag", ["--epsilon-grid", "--alpha-grid",
+                                      "--lambda-grid"])
+    def test_tune_empty_weight_grid(self, tmp_path, flag):
+        got, _, err = run_process(*TestTune().tune_args(tmp_path, flag, ""))
+        assert got == 1 and "Traceback" not in err
+        name = flag[2:].replace("-", "_")
+        assert err.splitlines() == [f"usage error: {name} is empty"]
+
     def test_score_n_zero(self, tmp_path):
         got, _, err = run_process("score", "--train", toy_path("train.jsonl"),
                                   "--n", "0", "--out", str(tmp_path))

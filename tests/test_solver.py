@@ -30,6 +30,16 @@ def small_problem(objective_kind="radiv", **cfg_kwargs):
                                  groups_for("abcde", {"a", "b"}), cats, cfg)
 
 
+def two_pool_problem(theta=0.6, **cfg_kwargs):
+    rep = {"a": 0.9, "c": 0.5}
+    exp = {"b": 0.7, "d": 0.3}
+    cats = {"a": "c1", "b": "c1", "c": "c2", "d": "c2"}
+    cfg = RerankConfig(k=2, n=4, theta=theta, objective_kind="radiv",
+                       **cfg_kwargs)
+    return build_combined_problem("u", combined_cands(rep, exp), {},
+                                  groups_for("abcd", {"a", "b"}), cats, cfg)
+
+
 class TestTopkLinear:
     def test_reduces_to_topk(self):
         p = small_problem(exposure=ExposureModel("uniform"))
@@ -53,7 +63,9 @@ class TestTopkLinear:
         assert n_rep == 0
 
     def test_rejects_diversity_term(self):
-        p = small_problem(epsilon=0.5)
+        # a diversity term with slots in both pools
+        p = two_pool_problem(epsilon=0.5)
+        assert p.repeat_slots and p.explore_slots
         with pytest.raises(UsageError):
             solve_topk_linear(p)
 
@@ -234,10 +246,22 @@ class TestRerankAll:
 
 
 def test_auto_engine_dispatch():
-    p_linear = small_problem(exposure=ExposureModel("uniform"))
-    assert solve(p_linear).solver_tag == "topk_linear"
-    p_general = small_problem(epsilon=0.2)
-    assert solve(p_general).solver_tag == "branch_and_bound"
+    closed_form = [
+        small_problem(exposure=ExposureModel("uniform")),
+        small_problem(epsilon=0.2),
+        two_pool_problem(theta=1.0, epsilon=0.2),  # no repeat slots
+    ]
+    assert closed_form[2].repeat_slots == 0
+    for p in closed_form:
+        sel = solve(p)
+        assert (sel.solver_tag, sel.nodes) == ("topk_linear", 0)
+    search = [
+        two_pool_problem(epsilon=0.2),
+        small_problem(objective_kind="raif", alpha=1.0,
+                      exposure=ExposureModel("log_discount")),
+    ]
+    for p in search:
+        assert solve(p).solver_tag == "branch_and_bound"
 
 
 def tie_heavy_problem(seed, kind, objective_kind, exposure):
@@ -312,6 +336,73 @@ def test_rounding_tie_goes_to_smaller_sequence():
                               groups_for("bma", "b"), {}, cfg)
     for solver in (solve_topk_linear, solve_branch_and_bound, solve_bruteforce):
         assert solver(p).items == ["b", "m"], solver.__name__
+
+
+def one_pool_coverage_problem(seed, kind, epsilon):
+    """A coverage problem with one pool holding every slot: 1-4 categories,
+    scores from four levels or continuous, radiv or naive_div. Combined
+    problems keep a few candidates in the pool with no slots, sharing the
+    categories."""
+    rng = random.Random(seed)
+    quantized = rng.random() < 0.5
+    score = (lambda: rng.choice((0.2, 0.4, 0.6, 0.8))) if quantized \
+        else rng.random
+    k = rng.randint(1, 4)
+    ids = [f"i{j:02d}" for j in rng.sample(range(100), k + rng.randint(0, 5))]
+    extra = [f"x{j:02d}" for j in rng.sample(range(100), rng.randint(1, 3))]
+    n_cats = rng.randint(1, 4)
+    cats = {i: f"c{rng.randrange(n_cats)}" for i in ids + extra}
+    cfg = RerankConfig(
+        k=k, n=len(ids), epsilon=epsilon, lam=score(),
+        exposure=ExposureModel("uniform"),
+        sign_mode=rng.choice(("penalize_repeat", "reward_repeat")),
+        objective_kind=rng.choice(("radiv", "naive_div")),
+        theta=rng.choice((-1.0, 2.0)))
+    groups = groups_for(ids + extra, rng.sample(ids, 1))
+    if kind == "unified":
+        reps = {"u": frozenset(i for i in ids if rng.random() < 0.5)}
+        return build_unified_problem("u", unified_cands(
+            {i: score() for i in ids}, n=len(ids)), reps, groups, cats, cfg)
+    # theta -1 gives every slot to the repeat pool, theta 2 to explore
+    rep, exp = (ids, extra) if cfg.theta < 0 else (extra, ids)
+    p = build_combined_problem("u", combined_cands(
+        {i: score() for i in rep}, {i: score() for i in exp}), {}, groups,
+        cats, cfg)
+    assert 0 in (p.repeat_slots, p.explore_slots) and p.total_slots == k
+    return p
+
+
+@pytest.mark.parametrize("epsilon", [1e-12, 1e-9, 0.05, 0.2, 1.0])
+@pytest.mark.parametrize("kind", ["unified", "combined"])
+def test_one_pool_coverage_matches_oracle(kind, epsilon):
+    for seed in range(120):
+        p = one_pool_coverage_problem(seed, kind, epsilon)
+        sel, oracle = solve(p), solve_bruteforce(p)
+        assert sel.solver_tag == "topk_linear"
+        assert sel.items == oracle.items, f"seed {seed}"
+        assert sel.objective == oracle.objective, f"seed {seed}"
+
+
+def test_coverage_closed_form_matches_branch_and_bound():
+    # past brute force's reach: N=40, K=10, scores from nine levels
+    for seed in range(80):
+        rng = random.Random(seed)
+        ids = [f"i{j:03d}" for j in rng.sample(range(1000), 40)]
+        scores = {i: rng.randint(1, 9) / 10 for i in ids}
+        n_cats = rng.randint(2, 8)
+        cats = {i: f"c{rng.randrange(n_cats)}" for i in ids}
+        cfg = RerankConfig(
+            k=10, n=40, epsilon=rng.choice((0.05, 0.2, 0.5, 1.0)),
+            lam=rng.choice((0.0, 0.2, 0.4)),
+            objective_kind=rng.choice(("radiv", "naive_div")),
+            sign_mode=rng.choice(("penalize_repeat", "reward_repeat")))
+        reps = {"u": frozenset(i for i in ids if rng.random() < 0.4)}
+        p = build_unified_problem("u", unified_cands(scores, n=40), reps,
+                                  groups_for(ids, ids[:10]), cats, cfg)
+        sel, ref = solve(p), solve_branch_and_bound(p)
+        assert sel.solver_tag == "topk_linear"
+        assert sel.items == ref.items, f"seed {seed}"
+        assert sel.objective == ref.objective, f"seed {seed}"
 
 
 def test_toy_golden_is_oracle_output(tmp_path):
