@@ -18,15 +18,14 @@ from .dataset import (build_item_groups, build_repeat_sets, cap_history,
                       save_targets, split_leave_last)
 from .errors import DataError, SolverError, UsageError
 from .metrics import MetricsReport, evaluate, report_table
-from .objective import (ExposureModel, RerankConfig, build_combined_problem,
-                        build_unified_problem, choose_sign_mode,
-                        original_topk)
+from .objective import (REWARD_REPEAT, ExposureModel, RerankConfig,
+                        build_problems, choose_sign_mode, original_topk)
 from .scorer import (CandidateSet, import_scores, make_combined,
                      make_unified, missing_users, save_scores,
                      score_explore_popularity, score_repeat_topfreq)
 from .solver import RerankedBaskets, rerank_all
-from .tuner import (GridSpec, run_grid, theta_deciles, write_chosen_config,
-                    write_sweep_csv)
+from .tuner import (GridSpec, grid_points, run_grid, theta_deciles,
+                    write_chosen_config, write_sweep_csv)
 
 MODE_TO_KIND = {
     "radiv": "radiv",
@@ -36,9 +35,14 @@ MODE_TO_KIND = {
     "repeat-only": "repeat_only",
     "none": "relevance_only",
 }
+EXPOSURES = ["uniform", "log-discount"]
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # no prefix matching: tune's --epsilon must not become --epsilon-grid
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # noqa: D102 - exit code contract
         raise UsageError(message)
 
@@ -83,9 +87,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rerank", description="Re-rank candidate scores into "
                        "K-item baskets.")
-    _add_data_flags(p)
-    _add_rerank_flags(p)
-    p.add_argument("--targets", help="needed for --sign auto")
+    _add_problem_flags(p, sorted(MODE_TO_KIND))
+    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--sign", choices=["auto", "penalize", "reward"],
+                   default="penalize")
+    p.add_argument("--targets", help="for --sign auto only")
     p.add_argument("--out", required=True, help="reranked baskets TSV")
     p.add_argument("--stats", help="solver statistics JSON")
     p.add_argument("--dump-problems", help="serialized problems JSONL")
@@ -99,18 +108,16 @@ def build_parser() -> _Parser:
     p.add_argument("--categories")
     p.add_argument("--targets", required=True)
     p.add_argument("--k", type=int, default=20)
-    p.add_argument("--omega", type=float, default=0.5)
-    p.add_argument("--log-base", type=float, default=math.e)
-    p.add_argument("--exposure", choices=["uniform", "log-discount"],
-                   default="log-discount")
+    p.add_argument("--exposure", choices=EXPOSURES, default="log-discount")
+    _add_metric_flags(p)
     p.add_argument("--per-user", help="per-user breakdown TSV")
     p.add_argument("--out", help="report JSON")
     p.add_argument("--dry-run", action="store_true")
 
     p = sub.add_parser("tune", description="Grid search on the validation "
                        "split with the Recall-tolerance selection rule.")
-    _add_data_flags(p)
-    _add_rerank_flags(p)
+    _add_problem_flags(p, ["radiv", "raif"])
+    _add_metric_flags(p)
     p.add_argument("--targets", required=True, help="validation targets JSONL")
     p.add_argument("--epsilon-grid", type=_grid_arg)
     p.add_argument("--alpha-grid", type=_grid_arg)
@@ -130,28 +137,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _add_data_flags(p: argparse.ArgumentParser) -> None:
+def _add_problem_flags(p: argparse.ArgumentParser, modes: list[str]) -> None:
+    """Inputs and basket shape, for the verbs that build problems."""
     p.add_argument("--train", required=True, help="train baskets JSONL")
     p.add_argument("--categories")
     p.add_argument("--scores", help="unified scores TSV")
     p.add_argument("--repeat-scores", help="combined repeat scores TSV")
     p.add_argument("--explore-scores", help="combined explore scores TSV")
-
-
-def _add_rerank_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", required=True, choices=sorted(MODE_TO_KIND))
+    p.add_argument("--mode", required=True, choices=modes)
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--n", type=int, default=100)
-    p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--theta-inclusive", action="store_true",
                    help="count repeat scores >= theta instead of > theta")
-    p.add_argument("--sign", choices=["auto", "penalize", "reward"],
-                   default="penalize")
-    p.add_argument("--exposure", choices=["uniform", "log-discount"],
-                   default="log-discount")
+    p.add_argument("--exposure", choices=EXPOSURES, default="log-discount")
+
+
+def _add_metric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega", type=float, default=0.5)
     p.add_argument("--log-base", type=float, default=math.e)
 
@@ -186,6 +187,9 @@ def _exposure(name: str) -> ExposureModel:
 
 
 def _load_candidates(args) -> CandidateSet:
+    """The score lists, each truncated to its top ``--n`` (so K <= N)."""
+    if args.k > args.n:
+        raise UsageError(f"K ({args.k}) must not exceed N ({args.n})")
     if args.scores:
         if args.repeat_scores or args.explore_scores:
             raise UsageError("give --scores or --repeat-scores/--explore-scores, "
@@ -198,26 +202,12 @@ def _load_candidates(args) -> CandidateSet:
                      "--repeat-scores and --explore-scores (combined)")
 
 
-def _make_config(args, cands: CandidateSet, reps, rep_ratio_gt: float | None
-                 ) -> RerankConfig:
-    kind = MODE_TO_KIND[args.mode]
-    cfg = RerankConfig(
-        k=args.k, n=args.n, epsilon=args.epsilon, alpha=args.alpha,
-        lam=args.lam, theta=args.theta,
-        theta_strict=not args.theta_inclusive,
-        exposure=_exposure(args.exposure), omega=args.omega,
-        recall_tolerance=getattr(args, "recall_tolerance", 0.10),
-        objective_kind=kind, log_base=args.log_base)
-    if args.sign == "auto":
-        if rep_ratio_gt is None:
-            raise UsageError("--sign auto needs --targets to estimate the "
-                             "ground-truth repeat ratio")
-        cfg.sign_mode = choose_sign_mode(original_topk(cands, cfg), reps,
-                                         rep_ratio_gt)
-    else:
-        cfg.sign_mode = ("penalize_repeat" if args.sign == "penalize"
-                         else "reward_repeat")
-    return cfg
+def _problem_config(args, **fields) -> RerankConfig:
+    """``_add_problem_flags``'s settings plus the verb's own ``fields``."""
+    return RerankConfig(k=args.k, n=args.n,
+                        theta_strict=not args.theta_inclusive,
+                        exposure=_exposure(args.exposure),
+                        objective_kind=MODE_TO_KIND[args.mode], **fields)
 
 
 def _write_baskets_tsv(baskets: RerankedBaskets, repeat_of, path: str) -> None:
@@ -322,32 +312,33 @@ def _load_common(args):
 
 def _cmd_rerank(args) -> int:
     train, categories, reps, groups, cands = _load_common(args)
-    rep_ratio_gt = None
-    if args.targets:
+    cfg = _problem_config(args, epsilon=args.epsilon, alpha=args.alpha,
+                          lam=args.lam, theta=args.theta)
+    if args.sign == "auto":
+        if not args.targets:
+            raise UsageError("--sign auto needs --targets to estimate the "
+                             "ground-truth repeat ratio")
         targets = load_targets(args.targets, train)
-        rep_ratio_gt = ground_truth_repeat_ratio(targets, reps)
-    cfg = _make_config(args, cands, reps, rep_ratio_gt)
+        cfg.sign_mode = choose_sign_mode(
+            original_topk(cands, cfg), reps,
+            ground_truth_repeat_ratio(targets, reps))
+    elif args.targets:
+        raise UsageError("--targets is read only with --sign auto")
+    elif args.sign == "reward":
+        cfg.sign_mode = REWARD_REPEAT
     if args.dry_run:
         print(json.dumps({"resolved_config": cfg.snapshot(),
                           "n_users": len(cands.user_ids)}, indent=2))
         return 0
-    builder = (build_unified_problem if cands.kind == "unified"
-               else build_combined_problem)
-    problems = []
-    for uid in cands.user_ids:
-        try:
-            problems.append(builder(uid, cands, reps, groups, categories, cfg))
-        except DataError as exc:
-            if args.skip_errors:
-                print(f"warning: {exc}", file=sys.stderr)
-            else:
-                raise
+    problems, skipped = build_problems(cands, reps, groups, categories, cfg,
+                                       skip_errors=args.skip_errors)
+    for msg in skipped:
+        print(f"warning: {msg}", file=sys.stderr)
     if args.dump_problems:
         with open(args.dump_problems, "w", encoding="utf-8") as fh:
             for problem in problems:
                 fh.write(problem.to_json() + "\n")
-    baskets = rerank_all(problems, skip_errors=args.skip_errors,
-                         config_snapshot=cfg.snapshot())
+    baskets = rerank_all(problems, skip_errors=args.skip_errors)
     for msg in baskets.warnings:
         print(f"warning: {msg}", file=sys.stderr)
 
@@ -386,7 +377,7 @@ def _cmd_evaluate(args) -> int:
               f"and are excluded (e.g. {dropped[:3]})", file=sys.stderr)
         lists = {u: b for u, b in lists.items()
                  if u in targets.eval_targets}
-    cfg = RerankConfig(k=args.k, n=max(args.k, 100), omega=args.omega,
+    cfg = RerankConfig(k=args.k, omega=args.omega,
                        exposure=_exposure(args.exposure),
                        log_base=args.log_base)
     if args.dry_run:
@@ -412,26 +403,23 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_tune(args) -> int:
     train, categories, reps, groups, cands = _load_common(args)
-    if args.mode not in ("radiv", "raif"):
-        raise UsageError("tune supports --mode radiv or raif")
     targets = load_targets(args.targets, train)
     if targets.split_label != "validation":
         raise UsageError(f"tune needs validation targets, got "
                          f"{targets.split_label!r}")
-    cfg = _make_config(args, cands, reps,
-                       ground_truth_repeat_ratio(targets, reps))
+    cfg = _problem_config(args, omega=args.omega, log_base=args.log_base,
+                          recall_tolerance=args.recall_tolerance)
     # only the grids given on the command line, so that an empty one is
     # rejected rather than replaced by the default
     grid = GridSpec(**{name: getattr(args, name) for name in
                        ("epsilon_grid", "alpha_grid", "lambda_grid", "theta_grid")
                        if getattr(args, name) is not None})
     if args.dry_run:
-        n_weights = len(grid.epsilon_grid if args.mode == "radiv"
-                        else grid.alpha_grid)
-        second = (len(grid.lambda_grid) if cands.kind == "unified" else
-                  len(grid.theta_grid or theta_deciles(cands)))
+        points = grid_points(cfg.objective_kind, cands.kind, grid,
+                             theta_deciles(cands) if cands.kind == "combined"
+                             else [])
         print(json.dumps({"resolved_config": cfg.snapshot(),
-                          "grid_points": n_weights * second}, indent=2))
+                          "grid_points": len(points)}, indent=2))
         return 0
     result = run_grid(targets, cands, reps, groups, categories, cfg, grid)
     if args.sweep_out:
@@ -524,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
             code, error = _COMMANDS[args.verb](args), None
         except UsageError as exc:
             code, error = 1, f"usage error: {exc}"
-        except (DataError, FileNotFoundError) as exc:
+        except (DataError, OSError, UnicodeDecodeError) as exc:
             code, error = 2, f"data error: {exc}"
         except SolverError as exc:
             code, error = 3, f"solver error: {exc}"

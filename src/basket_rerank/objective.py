@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-from .dataset import ItemGroups, RepeatSets
+from .dataset import ItemGroups, RepeatSets, SplitDataset
 from .errors import DataError, UsageError
 from .scorer import CandidateSet, rank_pairs
 
@@ -72,8 +72,6 @@ class RerankConfig:
                 raise UsageError(f"{name} must be finite, got {getattr(self, name)}")
         if self.log_base <= 0 or self.log_base == 1:
             raise UsageError(f"log base must be > 0 and != 1, got {self.log_base}")
-        if self.k > self.n:
-            raise UsageError(f"K ({self.k}) must not exceed N ({self.n})")
         if min(self.epsilon, self.alpha, self.lam) < 0:
             raise UsageError("weights epsilon/alpha/lambda must be >= 0")
         if not (0.0 <= self.omega <= 1.0):
@@ -218,8 +216,8 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
 
     Pool membership, not ``reps``, defines the repeat flag, matching the
     score files. ``reps`` stays so that both builders share one signature:
-    the tuner, the CLI's ``rerank`` verb and the benchmark pick a builder by
-    candidate kind and call it the same way.
+    ``build_problems`` and the benchmark pick a builder by candidate kind
+    and call it the same way.
     """
     if cands.kind != "combined":
         raise UsageError("build_combined_problem needs a combined candidate set")
@@ -252,6 +250,32 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
         rel_scale=rel_scale, epsilon_eff=eps, alpha_eff=alpha,
         signed_lambda=slam, k=cfg.k, exposure=cfg.exposure,
         objective_kind=cfg.objective_kind)
+
+
+def build_problems(cands: CandidateSet, reps: RepeatSets, groups: ItemGroups,
+                   categories: dict[str, str], cfg: RerankConfig,
+                   split: SplitDataset | None = None, skip_errors: bool = False
+                   ) -> tuple[list[RerankProblem], list[str]]:
+    """Each candidate user's problem (only users with a target in ``split``,
+    if given), in user-id order, and the errors of users left out: a user
+    whose problem cannot be built raises, or with ``skip_errors`` is left
+    out."""
+    users = cands.user_ids
+    if split is not None:
+        users = [u for u in users if u in split.eval_targets]
+        if not users:
+            raise DataError("no overlap between candidate users and the split")
+    builder = (build_unified_problem if cands.kind == "unified"
+               else build_combined_problem)
+    problems, skipped = [], []
+    for uid in users:
+        try:
+            problems.append(builder(uid, cands, reps, groups, categories, cfg))
+        except DataError as exc:
+            if not skip_errors:
+                raise
+            skipped.append(str(exc))
+    return problems, skipped
 
 
 def reweighted(problems: list[RerankProblem], cands: CandidateSet,

@@ -59,7 +59,6 @@ class Selection:
 @dataclass
 class RerankedBaskets:
     baskets: dict[str, Selection]
-    config: dict = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
 
     @property
@@ -463,8 +462,8 @@ def solve(problem: RerankProblem) -> Selection:
     return solve_branch_and_bound(problem)
 
 
-def rerank_all(problems: list[RerankProblem], skip_errors: bool = False,
-               config_snapshot: dict | None = None) -> RerankedBaskets:
+def rerank_all(problems: list[RerankProblem], skip_errors: bool = False
+               ) -> RerankedBaskets:
     """Solve every user independently, in user-id order. A failed solve
     raises SolverError naming the user, or with ``skip_errors`` becomes a
     warning and the user is left out."""
@@ -478,5 +477,4 @@ def rerank_all(problems: list[RerankProblem], skip_errors: bool = False,
             if not skip_errors:
                 raise SolverError(msg) from exc
             warnings.append(msg)
-    return RerankedBaskets(baskets, config=dict(config_snapshot or {}),
-                           warnings=warnings)
+    return RerankedBaskets(baskets, warnings=warnings)

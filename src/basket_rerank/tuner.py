@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from .dataset import ItemGroups, RepeatSets, SplitDataset, ground_truth_repeat_ratio
 from .errors import DataError, UsageError
 from .metrics import MetricsReport, evaluate
-from .objective import (RerankConfig, RerankProblem, build_combined_problem,
-                        build_unified_problem, choose_sign_mode, original_topk,
-                        reweighted)
+from .objective import (RerankConfig, RerankProblem, build_problems,
+                        choose_sign_mode, original_topk, reweighted)
 from .scorer import CandidateSet
 from .solver import RerankedBaskets, Selection, rerank_all
 
@@ -84,23 +83,11 @@ class TuneResult:
     infeasible: bool
 
 
-def _build_problems(cands: CandidateSet, split: SplitDataset,
-                    reps: RepeatSets, groups: ItemGroups,
-                    categories: dict[str, str],
-                    cfg: RerankConfig) -> list[RerankProblem]:
-    """One problem per user with both candidates and targets in ``split``."""
-    users = sorted(set(cands.user_ids) & set(split.eval_targets))
-    if not users:
-        raise DataError("no overlap between candidate users and the split")
-    builder = build_unified_problem if cands.kind == "unified" else build_combined_problem
-    return [builder(u, cands, reps, groups, categories, cfg) for u in users]
-
-
 def rerank_and_evaluate(cands: CandidateSet, split: SplitDataset,
                         reps: RepeatSets, groups: ItemGroups,
                         categories: dict[str, str], cfg: RerankConfig,
                         rep_ratio_gt: float) -> MetricsReport:
-    problems = _build_problems(cands, split, reps, groups, categories, cfg)
+    problems, _ = build_problems(cands, reps, groups, categories, cfg, split)
     return evaluate(rerank_all(problems), split, reps, groups, categories, cfg,
                     rep_ratio_gt=rep_ratio_gt)
 
@@ -112,8 +99,8 @@ def _problem_key(problem: RerankProblem) -> tuple:
             problem.short, problem.objective_kind)
 
 
-def _grid_points(kind: str, cands_kind: str, grid: GridSpec,
-                 theta_default: list[float]) -> list[tuple[float, float, float]]:
+def grid_points(kind: str, cands_kind: str, grid: GridSpec,
+                theta_default: list[float]) -> list[tuple[float, float, float]]:
     """(weight, lambda, theta) tuples in deterministic lexicographic order."""
     weights = grid.epsilon_grid if kind == "radiv" else grid.alpha_grid
     if cands_kind == "unified":
@@ -128,7 +115,8 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
     """Evaluate every grid point on the validation split and pick the best
     feasible one. Ties go to the lexicographically smallest
     (weight, lambda, theta) tuple; with no feasible point the baseline wins
-    and the result is flagged infeasible."""
+    and the result is flagged infeasible. Each point sets ``cfg``'s weights,
+    theta and sign mode (from the validation repeat ratio) itself."""
     if cfg.objective_kind not in ("radiv", "raif"):
         raise UsageError("run_grid tunes radiv or raif objectives only")
     if split.split_label != "validation":
@@ -151,8 +139,8 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
             lam=lam, theta=theta, sign_mode=sign_mode, objective_kind=kind)
 
     baseline_cfg = point_cfg(0.0, 0.0, base_theta, "relevance_only")
-    problems = _build_problems(cands, split, reps, groups, categories,
-                               baseline_cfg)
+    problems, _ = build_problems(cands, reps, groups, categories,
+                                 baseline_cfg, split)
 
     # user id -> problem key and selection at the previous point
     keys: dict[str, tuple] = {}
@@ -186,8 +174,8 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
     best_cfg: RerankConfig | None = None
     best_score: float | None = None
     feasible = 0
-    for weight, lam, theta in _grid_points(cfg.objective_kind, cands.kind,
-                                           grid, theta_default):
+    for weight, lam, theta in grid_points(cfg.objective_kind, cands.kind,
+                                          grid, theta_default):
         pcfg = point_cfg(weight, lam, theta, cfg.objective_kind)
         report = report_at(pcfg)
         results.append((pcfg, report))

@@ -1,8 +1,12 @@
+import csv
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -11,7 +15,8 @@ from basket_rerank.cli import main, read_baskets_tsv
 from basket_rerank.errors import SolverError
 from tests.conftest import toy_path
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+SRC = os.path.join(ROOT, "src")
 
 
 def run(capsys, *argv):
@@ -93,10 +98,41 @@ class TestRerank:
         assert code == 0
         assert json.loads(stdout)["resolved_config"]["theta_strict"] is False
 
+    def test_skip_errors(self, tmp_path, capsys):
+        # two users short of K candidates: an error, or with --skip-errors
+        # one warning each, in user-id order, and the others' baskets
+        limit = {"u003": 3, "u007": 2}
+        counts, kept = Counter(), []
+        for line in open(toy_path("scores_unified.tsv")):
+            uid = line.split("\t")[0]
+            counts[uid] += 1
+            if counts[uid] <= limit.get(uid, counts[uid]):
+                kept.append(line)
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("".join(kept))
+        out = tmp_path / "baskets.tsv"
+        argv = rerank_args(out, "--epsilon", "0.1")
+        argv[argv.index("--scores") + 1] = str(scores)
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.splitlines() == [
+            "data error: user 'u003': insufficient candidates (3 < K=5)"]
+        code, _, err = run(capsys, *argv, "--skip-errors")
+        assert code == 0 and err.splitlines() == [
+            "warning: user 'u003': insufficient candidates (3 < K=5)",
+            "warning: user 'u007': insufficient candidates (2 < K=5)"]
+        assert len(read_baskets_tsv(str(out))) == 10
+
     def test_sign_auto_needs_targets(self, tmp_path, capsys):
         out = tmp_path / "baskets.tsv"
         code, _, err = run(capsys, *rerank_args(out, "--sign", "auto"))
         assert code == 1 and "targets" in err
+
+    def test_targets_only_with_sign_auto(self, tmp_path, capsys):
+        out = tmp_path / "baskets.tsv"
+        code, _, err = run(capsys, *rerank_args(
+            out, "--targets", toy_path("targets_validation.jsonl")))
+        assert code == 1 and err.splitlines() == [
+            "usage error: --targets is read only with --sign auto"]
 
     def test_config_file_overridden_by_flag(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -184,6 +220,73 @@ class TestTune:
         code, stdout, _ = run(capsys, *self.tune_args(tmp_path, "--dry-run"))
         assert code == 0
         assert json.loads(stdout)["grid_points"] == 4
+
+    def test_dry_run_counts_combined_grid(self, tmp_path, capsys, toy_validation,
+                                          toy_combined_cands, toy_reps,
+                                          toy_groups, toy_categories):
+        args = self.tune_args(tmp_path, "--dry-run")
+        at = args.index("--scores")
+        args[at:at + 2] = ["--repeat-scores", toy_path("scores_repeat.tsv"),
+                           "--explore-scores", toy_path("scores_explore.tsv")]
+        code, stdout, _ = run(capsys, *args)
+        assert code == 0
+        from basket_rerank.objective import RerankConfig
+        from basket_rerank.tuner import GridSpec, run_grid
+        result = run_grid(toy_validation, toy_combined_cands, toy_reps,
+                          toy_groups, toy_categories,
+                          RerankConfig(k=5, n=15, objective_kind="radiv"),
+                          GridSpec(epsilon_grid=[0, 0.1]))
+        # two epsilon values crossed with the theta deciles
+        assert json.loads(stdout)["grid_points"] == len(result.results) > 2
+
+    @pytest.mark.parametrize("mode", ["radiv", "raif"])
+    @pytest.mark.parametrize("scores", [
+        ["--scores", toy_path("scores_unified.tsv")],
+        ["--repeat-scores", toy_path("scores_repeat.tsv"),
+         "--explore-scores", toy_path("scores_explore.tsv")]],
+        ids=["unified", "combined"])
+    def test_round_trip(self, tmp_path, capsys, mode, scores):
+        # tune, re-rank with the chosen point, evaluate on validation: the
+        # report is the chosen point's sweep row
+        data = ["--train", toy_path("train.jsonl"),
+                "--categories", toy_path("categories.tsv")]
+        validation = toy_path("targets_validation.jsonl")
+        chosen, sweep = tmp_path / "chosen.json", tmp_path / "sweep.csv"
+        assert run(capsys, "tune", "--mode", mode, "--k", "5", "--n", "15",
+                   *data, *scores, "--targets", validation,
+                   "--chosen-out", str(chosen), "--sweep-out", str(sweep))[0] == 0
+        payload = json.loads(chosen.read_text())
+        assert not payload["infeasible"]
+        best = payload["best"]
+        sign = {"penalize_repeat": "penalize",
+                "reward_repeat": "reward"}[best["sign_mode"]]
+        baskets = tmp_path / "baskets.tsv"
+        assert run(capsys, "rerank", "--mode", mode, "--k", "5", "--n", "15",
+                   *data, *scores, "--epsilon", repr(best["epsilon"]),
+                   "--alpha", repr(best["alpha"]), "--lambda", repr(best["lam"]),
+                   "--theta", repr(best["theta"]), "--sign", sign,
+                   "--out", str(baskets))[0] == 0
+        report = tmp_path / "report.json"
+        assert run(capsys, "evaluate", "--baskets", str(baskets), *data,
+                   "--targets", validation, "--k", "5",
+                   "--out", str(report))[0] == 0
+        got = json.loads(report.read_text())
+        point = [best[key] for key in ("epsilon", "alpha", "lam", "theta")]
+        with open(sweep, newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if point == [
+                float(row[key]) for key in ("epsilon", "alpha", "lambda", "theta")]]
+        assert len(rows) == 1
+        for column, key in [("recall", "recall"), ("ds", "ds"),
+                            ("logdp", "log_dp"), ("rep_ratio_rec", "rep_ratio_rec"),
+                            ("rep_bias", "rep_bias"), ("m_fr", "m_fr"),
+                            ("m_dr", "m_dr")]:
+            assert float(rows[0][column]) == got[key], column
+
+    def test_mode_radiv_or_raif(self, tmp_path, capsys):
+        args = self.tune_args(tmp_path)
+        args[args.index("radiv")] = "naive-div"
+        code, _, err = run(capsys, *args)
+        assert code == 1 and "invalid choice: 'naive-div'" in err
 
     def test_test_targets_rejected(self, tmp_path, capsys):
         args = self.tune_args(tmp_path)
@@ -297,11 +400,44 @@ class TestBadInputExitCodes:
         (["--epsilon", "nan"], "epsilon must be finite"),
         (["--lambda", "inf"], "lam must be finite"),
         (["--theta=-inf"], "theta must be finite"),
-        (["--log-base", "1"], "log base"),
     ])
     def test_rerank_numbers(self, tmp_path, flags, message):
         got, _, err = run_process(*rerank_args(tmp_path / "b.tsv", *flags))
         assert got == 1 and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["evaluate", "tune"])
+    def test_log_base_one(self, tmp_path, verb):
+        if verb == "evaluate":
+            argv = evaluate_args(write_text(tmp_path / "b.tsv",
+                                            "u000\t1\ti000\t0\n"))
+        else:
+            argv = TestTune().tune_args(tmp_path)
+        got, _, err = run_process(*argv, "--log-base", "1")
+        assert got == 1 and "log base" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("verb", ["rerank", "tune"])
+    def test_k_exceeds_n(self, tmp_path, verb):
+        argv = (rerank_args(tmp_path / "b.tsv") if verb == "rerank"
+                else TestTune().tune_args(tmp_path))
+        got, _, err = run_process(*argv, "--k", "10", "--n", "5")
+        assert got == 1 and "Traceback" not in err
+        assert err.splitlines() == ["usage error: K (10) must not exceed N (5)"]
+
+    @pytest.mark.parametrize("verb, flag", [
+        ("rerank", "--omega"), ("rerank", "--log-base"),
+        ("tune", "--epsilon"), ("tune", "--alpha"), ("tune", "--lambda"),
+        ("tune", "--theta"), ("tune", "--sign"),
+    ])
+    def test_unread_flag_rejected(self, tmp_path, verb, flag):
+        # tune sets the weights and the sign per grid point, and rerank
+        # computes no metric, so neither verb accepts these
+        argv = (rerank_args(tmp_path / "b.tsv") if verb == "rerank"
+                else TestTune().tune_args(tmp_path))
+        value = "penalize" if flag == "--sign" else "0.5"
+        got, _, err = run_process(*argv, flag, value)
+        assert got == 1 and "Traceback" not in err
+        assert err.splitlines() == [
+            f"usage error: unrecognized arguments: {flag} {value}"]
 
     def test_tune_grid_nan(self, tmp_path):
         got, _, err = run_process(
@@ -324,6 +460,28 @@ class TestBadInputExitCodes:
         assert got == 1 and "Traceback" not in err
         name = flag[2:].replace("-", "_")
         assert err.splitlines() == [f"usage error: {name} is empty"]
+
+    @pytest.mark.parametrize("verb, flag", [
+        ("rerank", "--train"), ("rerank", "--config"), ("rerank", "--scores"),
+        ("evaluate", "--baskets")])
+    @pytest.mark.parametrize("content", [None, b"\xffu000\t1\n"],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_input(self, tmp_path, verb, flag, content):
+        # None puts a directory where the file belongs
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv = (rerank_args(tmp_path / "b.tsv") if verb == "rerank" else
+                evaluate_args(write_text(tmp_path / "b.tsv", "u000\t1\ti000\t0\n")))
+        if flag == "--config":
+            argv = [flag, str(path)] + argv
+        else:
+            argv[argv.index(flag) + 1] = str(path)
+        got, _, err = run_process(*argv)
+        assert got == 2 and "Traceback" not in err
+        assert err.splitlines()[-1].startswith("data error: ")
 
     def test_score_n_zero(self, tmp_path):
         got, _, err = run_process("score", "--train", toy_path("train.jsonl"),
@@ -444,3 +602,16 @@ def test_empty_target_basket_warns_once(tmp_path, verb):
     assert err.count(message) == 1
     assert "UserWarning" not in err and "Traceback" not in err
     assert "metrics.py" not in err
+
+
+def test_readme_commands_parse():
+    # every CLI command in the README's shell blocks names only flags that
+    # its verb declares
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("basket-rerank ")]
+    assert {argv[1] for argv in commands} == set(cli._COMMANDS)
+    for argv in commands:
+        cli.build_parser().parse_args(argv[1:])

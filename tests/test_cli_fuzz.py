@@ -1,8 +1,10 @@
-"""Fuzz the CLI's exit-code contract: whatever the numbers and input files,
-``main`` returns 0-3 and raises nothing."""
+"""Fuzz the CLI's exit-code contract: whatever the numbers and input files
+(garbled text, bytes that are not UTF-8, a directory), ``main`` returns 0-3
+and raises nothing."""
 import contextlib
 import io
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,22 +14,26 @@ from tests.conftest import toy_path
 
 NUMBERS = ["0", "-1", "1", "5", "nan", "inf", "-inf", "1e309", "x", ""]
 
-# verb -> (its numeric flags, its input files)
+# verb -> (its numeric flags, its input files); every verb also reads --config
 VERBS = {
-    "rerank": (["--k", "--n", "--epsilon", "--alpha", "--lambda", "--theta",
-                "--omega", "--log-base"],
-               ["train", "categories", "scores", "targets"]),
+    "rerank": (["--k", "--n", "--epsilon", "--alpha", "--lambda", "--theta"],
+               ["train", "categories", "scores", "targets", "config"]),
     "evaluate": (["--k", "--omega", "--log-base"],
-                 ["baskets", "train", "categories", "targets"]),
-    "tune": (["--k", "--n", "--epsilon", "--lambda", "--epsilon-grid",
+                 ["baskets", "train", "categories", "targets", "config"]),
+    "tune": (["--k", "--n", "--omega", "--log-base", "--epsilon-grid",
               "--lambda-grid", "--recall-tolerance"],
-             ["train", "categories", "scores", "targets"]),
-    "score": (["--n", "--mix"], ["train"]),
-    "report": ([], ["report"]),
+             ["train", "categories", "scores", "targets", "config"]),
+    "score": (["--n", "--mix"], ["train", "config"]),
+    "report": ([], ["report", "config"]),
 }
 
 LINE = st.one_of(st.text(max_size=30),
                  st.text(alphabet='\tui0123456789.,-{}[]":e ', max_size=30))
+# a broken file's content; None stands for a directory in its place
+CONTENT = st.one_of(
+    st.lists(LINE, max_size=5).map(lambda lines: "\n".join(lines).encode()),
+    st.binary(max_size=30).map(lambda raw: b"\xff" + raw),  # never UTF-8
+    st.none())
 
 
 @pytest.fixture(scope="module")
@@ -84,25 +90,28 @@ def invocations(draw):
                                    st.sampled_from(NUMBERS), max_size=3)
                    if flags else st.just({}))
     broken = draw(st.none() | st.sampled_from(files))
-    text = "\n".join(draw(st.lists(LINE, max_size=5)))
-    return verb, numbers, broken, text
+    return verb, numbers, broken, draw(CONTENT)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(case=invocations())
 def test_exit_code_contract(inputs, case):
-    verb, numbers, broken, text = case
+    verb, numbers, broken, content = case
     d, valid = inputs
     paths = dict(valid, targets=valid["test_targets" if verb == "evaluate"
                                      else "val_targets"])
     if broken:
-        paths[broken] = str(d / f"broken-{broken}")
-        with open(paths[broken], "w", encoding="utf-8") as fh:
-            fh.write(text)
+        paths[broken] = tempfile.mkdtemp(dir=d)
+        if content is not None:
+            paths[broken] = os.path.join(paths[broken], broken)
+            with open(paths[broken], "wb") as fh:
+                fh.write(content)
     out = str(d / "out")
     os.makedirs(out, exist_ok=True)
     argv = _argv(verb, paths, out) + [f"{flag}={value}"
                                       for flag, value in numbers.items()]
+    if broken == "config":
+        argv = ["--config", paths["config"]] + argv
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

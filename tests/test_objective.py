@@ -48,10 +48,6 @@ class TestExposureModel:
 
 
 class TestRerankConfig:
-    def test_k_exceeds_n_rejected(self):
-        with pytest.raises(UsageError):
-            RerankConfig(k=10, n=5)
-
     def test_negative_weight_rejected(self):
         with pytest.raises(UsageError):
             RerankConfig(epsilon=-0.1)
