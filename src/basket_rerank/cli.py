@@ -414,6 +414,15 @@ def _cmd_tune(args) -> int:
     grid = GridSpec(**{name: getattr(args, name) for name in
                        ("epsilon_grid", "alpha_grid", "lambda_grid", "theta_grid")
                        if getattr(args, name) is not None})
+    # a grid that this mode and candidate kind never read is an error
+    for name, unread, needs in [
+            ("theta_grid", cands.kind == "unified", "combined scores"),
+            ("lambda_grid", cands.kind == "combined", "unified scores"),
+            ("alpha_grid", cfg.objective_kind == "radiv", "--mode raif"),
+            ("epsilon_grid", cfg.objective_kind == "raif", "--mode radiv")]:
+        if unread and getattr(args, name) is not None:
+            raise UsageError(f"--{name.replace('_', '-')} is read only with "
+                             f"{needs}")
     if args.dry_run:
         points = grid_points(cfg.objective_kind, cands.kind, grid,
                              theta_deciles(cands) if cands.kind == "combined"

@@ -21,10 +21,23 @@ from .errors import DataError
 ScoreList = list[tuple[str, float]]
 
 
+def _rank_key(pair: tuple[str, float]) -> tuple[float, str]:
+    return -pair[1], pair[0]
+
+
 def rank_pairs(pairs: ScoreList, n: int | None = None) -> ScoreList:
     """Sort (item, score) pairs by score desc, id asc; truncate to n."""
-    ranked = sorted(pairs, key=lambda p: (-p[1], p[0]))
+    ranked = sorted(pairs, key=_rank_key)
     return ranked if n is None else ranked[:n]
+
+
+def _ranked_in_place(per_user: dict[str, ScoreList], n: int
+                     ) -> dict[str, ScoreList]:
+    """``rank_pairs`` applied to every list in place, with no copy."""
+    for rows in per_user.values():
+        rows.sort(key=_rank_key)
+        del rows[n:]
+    return per_user
 
 
 @dataclass
@@ -47,6 +60,11 @@ class CandidateSet:
 def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
     per_user: dict[str, ScoreList] = {}
     seen: dict[str, set[str]] = {}  # items per user, for the duplicate check
+    # One (item, score) pair per distinct row text, shared by every user's
+    # list, with one string per item id: built-in and popularity scores
+    # repeat across users, so this keeps a fraction of the copies. A row
+    # text seen before has already passed the score checks.
+    shared: dict[tuple[str, str], tuple[str, float]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -56,23 +74,23 @@ def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
             uid, item, raw = parts
-            try:
-                score = float(raw)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad score {raw!r}") from exc
-            if not math.isfinite(score):
-                raise DataError(f"{path}:{lineno}: non-finite score for ({uid},{item})")
+            pair = shared.get((item, raw))
+            if pair is None:
+                try:
+                    score = float(raw)
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad score {raw!r}") from exc
+                if not math.isfinite(score):
+                    raise DataError(f"{path}:{lineno}: non-finite score for ({uid},{item})")
+                pair = shared[item, raw] = (sys.intern(item), score)
             user_items = seen.get(uid)
             if user_items is None:
                 user_items = seen[uid] = set()
                 per_user[uid] = []
             elif item in user_items:
                 raise DataError(f"{path}:{lineno}: duplicate (user,item) row ({uid},{item})")
-            # one string per item id, shared by every user's list: ids
-            # repeat across users, so this keeps a fraction of the copies
-            item = sys.intern(item)
-            user_items.add(item)
-            per_user[uid].append((item, score))
+            user_items.add(pair[0])
+            per_user[uid].append(pair)
     if not per_user:
         raise DataError(f"{path}: no score rows")
     return per_user
@@ -86,14 +104,13 @@ def import_scores(path: str, kind: str = "unified", n: int = 100,
     scores and ``explore_path`` as the explore scores.
     """
     if kind == "unified":
-        per_user = _read_scores_tsv(path)
-        unified = {u: rank_pairs(rows, n) for u, rows in per_user.items()}
+        unified = _ranked_in_place(_read_scores_tsv(path), n)
         return CandidateSet(kind="unified", n=n, unified=unified)
     if kind == "combined":
         if explore_path is None:
             raise DataError("combined import needs both a repeat and an explore file")
-        rep = {u: rank_pairs(rows, n) for u, rows in _read_scores_tsv(path).items()}
-        exp = {u: rank_pairs(rows, n) for u, rows in _read_scores_tsv(explore_path).items()}
+        rep = _ranked_in_place(_read_scores_tsv(path), n)
+        exp = _ranked_in_place(_read_scores_tsv(explore_path), n)
         for uid in set(rep) & set(exp):
             overlap = {i for i, _ in rep[uid]} & {i for i, _ in exp[uid]}
             if overlap:

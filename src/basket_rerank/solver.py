@@ -12,26 +12,33 @@ one exact algorithm per problem shape:
   per-item value. With coverage, the gain is separable and concave per
   category, so the pool's largest marginal gains are an optimum
   (``_coverage_cut``).
-* ``solve_branch_and_bound`` -- every other problem, in one function:
-  coverage with slots in both pools, and position-dependent exposure.
-  Candidates are visited in within-basket ranking order (relevance desc, id
-  asc), so the t-th included item occupies position t and exposure weights
-  are known during the search. A node is pruned by an admissible bound:
-  per-pool suffix top-value sums, an every-slot-opens-a-category coverage
-  bonus, and a best-coefficient-at-each-position fairness bonus.
+* ``solve_exposure_dp`` -- a ranking-order DP for the problems left with
+  no coverage term and at most one pool with slots: position-dependent
+  exposure in every unified problem, and in combined ones whose H(theta)
+  split gives every slot to one pool. It runs over a prefix of the pool's
+  candidates that grows until a bound shows that no basket reaching past it
+  can tie the optimum.
+* ``solve_branch_and_bound`` -- every problem with slots in both pools and a
+  coverage or position-dependent term. Candidates are visited in
+  within-basket ranking order (relevance desc, id asc), so the t-th
+  included item occupies position t and exposure weights are known during
+  the search. A node is pruned by an admissible bound: per-pool suffix
+  top-value sums, an every-slot-opens-a-category coverage bonus, and a
+  best-coefficient-at-each-position fairness bonus.
 
-Both reject a pool with fewer candidates than slots (``_checked_pools``).
-``solve_bruteforce`` enumerates every feasible selection. It is the testing
-oracle, kept independent of the two paths above (it scores selections only
-through ``objective_value``).
+All three reject a pool with fewer candidates than slots
+(``_checked_pools``). ``solve_bruteforce`` enumerates every feasible
+selection. It is the testing oracle, kept independent of the paths above
+(it scores selections only through ``objective_value``).
 
-One tie rule holds in all three (``_better``): a selection wins when its
+One tie rule holds in all four (``_better``): a selection wins when its
 objective is higher by more than ``_TIE_TOL``; otherwise the
 lexicographically smaller position-ordered item-id sequence wins.
 """
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 import math
 import time
@@ -43,6 +50,9 @@ from .objective import (RerankProblem, check_slots, indexed_objective_value,
 
 _TIE_TOL = 1e-10
 _BRUTE_GUARD = 10 ** 7
+# solve_exposure_dp's first prefix, in multiples of K, and its growth factor
+_DP_START = 1.5
+_DP_GROWTH = 1.5
 
 
 @dataclass
@@ -105,12 +115,16 @@ def _position_dependent(problem: RerankProblem) -> bool:
     return problem.alpha_eff != 0.0 and problem.exposure.kind != "uniform"
 
 
+def _one_pool(problem: RerankProblem) -> bool:
+    """Does at most one pool have slots?"""
+    return not (problem.repeat_slots and problem.explore_slots)
+
+
 def _closed_form_applicable(problem: RerankProblem) -> bool:
     """No position-dependent fairness term and, with a coverage term, at
     most one pool with slots."""
     return not _position_dependent(problem) and (
-        problem.epsilon_eff == 0.0
-        or not (problem.repeat_slots and problem.explore_slots))
+        problem.epsilon_eff == 0.0 or _one_pool(problem))
 
 
 def solve_topk_linear(problem: RerankProblem) -> Selection:
@@ -326,6 +340,100 @@ def _adjusted_values(problem: RerankProblem) -> list[float]:
     return out
 
 
+def solve_exposure_dp(problem: RerankProblem) -> Selection:
+    """Ranking-order DP for problems without a coverage term and with at
+    most one pool with slots: position-weighted exposure, or additive.
+
+    The slotted pool's candidates are taken in ranking order, which is
+    basket-position order, so the t-th item taken sits at position t and
+    adds ``adj_j - alpha * coef_j * e(t)``. ``f[t]`` is the best value of t
+    items from the first M candidates; it grows candidate by candidate. M
+    starts near ``_DP_START * K`` and grows by ``_DP_GROWTH`` until no
+    basket with t < K items from the prefix can come within the tie
+    tolerance of the optimum: f[t], plus the K - t largest adjusted values
+    after M, plus the largest fairness gain after M times the exposure
+    weight left, falls short of ``f[K]`` by more than ``_TIE_TOL``. Every
+    basket the tie rule may choose then lies in the prefix. A backward table
+    over the prefix gives each candidate's best completion, and positions
+    are filled in order, each with the smallest id whose best completion
+    still reaches the optimum within the tolerance. ``nodes`` counts the
+    candidates in the certified prefix.
+    """
+    if problem.epsilon_eff or not _one_pool(problem):
+        raise UsageError("the exposure DP requires no diversity term and at "
+                         "most one pool with slots")
+    start = time.perf_counter()
+    pools, quotas = _checked_pools(problem)
+    pool, k = (pools[0], quotas[0]) if quotas[0] else (pools[1], quotas[1])
+    items = problem.items
+    adj = _adjusted_values(problem)
+    coef_term = ([-problem.alpha_eff * c for c in problem.fairness_coef]
+                 if _position_dependent(problem) else [0.0] * len(items))
+    eweights = problem.exposure.weights(k)
+    epre = list(itertools.accumulate(eweights, initial=0.0))
+
+    end = math.ceil(_DP_START * k)
+    f = [0.0] + [-math.inf] * k
+    m = 0
+    while True:
+        for j in pool[m:end]:
+            a, c = adj[j], coef_term[j]
+            for t in range(min(m, k - 1), -1, -1):
+                v = f[t] + (a + c * eweights[t])
+                if v > f[t + 1]:
+                    f[t + 1] = v
+            m += 1
+        if m == len(pool):
+            break
+        rest = pool[m:]
+        best_rest = heapq.nlargest(k, [adj[j] for j in rest])
+        max_coef = max([coef_term[j] for j in rest])
+        floor = f[k] - _TIE_TOL
+        tail = 0.0
+        for t in range(k - 1, max(k - len(best_rest), 0) - 1, -1):
+            tail += best_rest[k - 1 - t]
+            if f[t] + tail + max_coef * (epre[k] - epre[t]) >= floor:
+                break
+        else:
+            break
+        end = max(m + 1, int(m * _DP_GROWTH))
+
+    # g[i][t]: the best value of positions t.. from candidates pool[i:m]
+    g: list[list[float]] = [[]] * m + [[-math.inf] * k + [0.0]]
+    for i in range(m - 1, -1, -1):
+        a, c, nxt = adj[pool[i]], coef_term[pool[i]], g[i + 1]
+        row = nxt[:]
+        for t in range(max(k - m + i, 0), min(i, k - 1) + 1):
+            v = (a + c * eweights[t]) + nxt[t + 1]
+            if v > row[t]:
+                row[t] = v
+        g[i] = row
+    floor = f[k] - _TIE_TOL
+    chosen: list[int] = []
+    acc, i = 0.0, 0
+    for t in range(k):
+        # the best completion is kept too: summed in another order than the
+        # last position's check, every completion can round below the floor
+        pick, best = -1, -math.inf
+        for h in range(i, m - k + t + 1):
+            j = pool[h]
+            v = acc + (adj[j] + coef_term[j] * eweights[t])
+            reach = v + g[h + 1][t + 1]
+            if reach >= floor and (pick < 0 or items[j] < items[pool[pick]]):
+                pick, pick_acc = h, v
+            if reach > best:
+                best, top, top_acc = reach, h, v
+        if pick < 0:
+            pick, pick_acc = top, top_acc
+        chosen.append(pool[pick])
+        acc, i = pick_acc, pick + 1
+    selected = [items[j] for j in chosen]
+    check_slots(problem, selected, sum(problem.is_repeat[j] for j in chosen))
+    obj = indexed_objective_value(problem, chosen)
+    return Selection(problem.user_id, selected, obj, "exposure_dp", nodes=m,
+                     wall_time=time.perf_counter() - start)
+
+
 def solve_branch_and_bound(problem: RerankProblem) -> Selection:
     """Depth-first exact search over candidates in ranking order.
 
@@ -456,9 +564,12 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
 
 def solve(problem: RerankProblem) -> Selection:
     """The user's exact basket: the closed form where it applies
-    (``_closed_form_applicable``), branch-and-bound otherwise."""
+    (``_closed_form_applicable``), else the exposure DP for one pool with
+    slots and no coverage term, else branch-and-bound."""
     if _closed_form_applicable(problem):
         return solve_topk_linear(problem)
+    if not problem.epsilon_eff and _one_pool(problem):
+        return solve_exposure_dp(problem)
     return solve_branch_and_bound(problem)
 
 

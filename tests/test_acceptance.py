@@ -20,7 +20,7 @@ from basket_rerank.objective import (OBJECTIVE_KINDS, ExposureModel,
 from basket_rerank.scorer import (CandidateSet, make_unified, rank_pairs,
                                   score_explore_popularity,
                                   score_repeat_topfreq)
-from basket_rerank.solver import (rerank_all, solve_branch_and_bound,
+from basket_rerank.solver import (rerank_all, solve, solve_branch_and_bound,
                                   solve_bruteforce)
 from basket_rerank.synth import (make_synthetic_dataset,
                                  random_combined_instance,
@@ -56,12 +56,18 @@ def test_criterion_1_oracle_equivalence():
                     f"kind={kind} exposure={exposure} seed={seed}"
                 assert bnb.items == brute.items, \
                     f"tie rule: kind={kind} exposure={exposure} seed={seed}"
+                # the path solve picks: closed form or exposure DP
+                sel = solve(problem)
+                assert (sel.items, sel.objective) == (
+                    brute.items, brute.objective), \
+                    f"{sel.solver_tag}: kind={kind} exposure={exposure} seed={seed}"
                 count += 1
         elapsed = time.time() - start
         assert count >= 500
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
     _report(1, "branch-and-bound matches brute force on >=500 unified "
-               "instances (objective to 1e-9, identical selections) in <60s",
+               "instances (objective to 1e-9, identical selections) in <60s, "
+               "and solve's own path matches it exactly",
             check)
 
 

@@ -228,6 +228,8 @@ class TestTune:
         at = args.index("--scores")
         args[at:at + 2] = ["--repeat-scores", toy_path("scores_repeat.tsv"),
                            "--explore-scores", toy_path("scores_explore.tsv")]
+        at = args.index("--lambda-grid")  # combined scores read no lambda
+        del args[at:at + 2]
         code, stdout, _ = run(capsys, *args)
         assert code == 0
         from basket_rerank.objective import RerankConfig
@@ -460,6 +462,32 @@ class TestBadInputExitCodes:
         assert got == 1 and "Traceback" not in err
         name = flag[2:].replace("-", "_")
         assert err.splitlines() == [f"usage error: {name} is empty"]
+
+    @pytest.mark.parametrize("change, message", [
+        (["--theta-grid", "0.5"], "--theta-grid is read only with combined "
+                                  "scores"),
+        ("combined", "--lambda-grid is read only with unified scores"),
+        (["--alpha-grid", "1"], "--alpha-grid is read only with --mode raif"),
+        ("raif", "--epsilon-grid is read only with --mode radiv"),
+    ], ids=["theta-unified", "lambda-combined", "alpha-radiv", "epsilon-raif"])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]],
+                             ids=["run", "dry-run"])
+    def test_tune_unread_grid(self, tmp_path, change, message, dry_run):
+        # tune_args gives --epsilon-grid and --lambda-grid, which unified
+        # scores under --mode radiv read
+        args = TestTune().tune_args(tmp_path, *dry_run)
+        if change == "combined":
+            at = args.index("--scores")
+            args[at:at + 2] = ["--repeat-scores", toy_path("scores_repeat.tsv"),
+                               "--explore-scores",
+                               toy_path("scores_explore.tsv")]
+        elif change == "raif":
+            args[args.index("radiv")] = "raif"
+        else:
+            args += change
+        got, _, err = run_process(*args)
+        assert got == 1 and "Traceback" not in err
+        assert err.splitlines() == [f"usage error: {message}"]
 
     @pytest.mark.parametrize("verb, flag", [
         ("rerank", "--train"), ("rerank", "--config"), ("rerank", "--scores"),

@@ -12,7 +12,8 @@ from basket_rerank.objective import (OBJECTIVE_KINDS, ExposureModel,
 from basket_rerank import solver as solver_module
 from basket_rerank.scorer import CandidateSet
 from basket_rerank.solver import (rerank_all, solve, solve_branch_and_bound,
-                                  solve_bruteforce, solve_topk_linear)
+                                  solve_bruteforce, solve_exposure_dp,
+                                  solve_topk_linear)
 from basket_rerank.synth import (random_combined_instance,
                                  random_unified_instance)
 from tests.conftest import toy_path
@@ -30,11 +31,11 @@ def small_problem(objective_kind="radiv", **cfg_kwargs):
                                  groups_for("abcde", {"a", "b"}), cats, cfg)
 
 
-def two_pool_problem(theta=0.6, **cfg_kwargs):
+def two_pool_problem(theta=0.6, objective_kind="radiv", **cfg_kwargs):
     rep = {"a": 0.9, "c": 0.5}
     exp = {"b": 0.7, "d": 0.3}
     cats = {"a": "c1", "b": "c1", "c": "c2", "d": "c2"}
-    cfg = RerankConfig(k=2, n=4, theta=theta, objective_kind="radiv",
+    cfg = RerankConfig(k=2, n=4, theta=theta, objective_kind=objective_kind,
                        **cfg_kwargs)
     return build_combined_problem("u", combined_cands(rep, exp), {},
                                   groups_for("abcd", {"a", "b"}), cats, cfg)
@@ -255,12 +256,24 @@ def test_auto_engine_dispatch():
     for p in closed_form:
         sel = solve(p)
         assert (sel.solver_tag, sel.nodes) == ("topk_linear", 0)
+    log_discount = dict(alpha=1.0, exposure=ExposureModel("log_discount"))
+    one_pool_exposure = [
+        small_problem(objective_kind="raif", **log_discount),
+        small_problem(objective_kind="naive_fair", **log_discount),
+        two_pool_problem(theta=1.0, objective_kind="raif", **log_discount),
+    ]
+    for p in one_pool_exposure:
+        sel = solve(p)
+        # nodes: the candidates of the certified prefix
+        assert sel.solver_tag == "exposure_dp"
+        assert p.total_slots <= sel.nodes <= p.n_candidates
+        assert sel.prunes == 0
     search = [
         two_pool_problem(epsilon=0.2),
-        small_problem(objective_kind="raif", alpha=1.0,
-                      exposure=ExposureModel("log_discount")),
+        two_pool_problem(objective_kind="raif", **log_discount),
     ]
     for p in search:
+        assert p.repeat_slots and p.explore_slots
         assert solve(p).solver_tag == "branch_and_bound"
 
 
@@ -403,6 +416,115 @@ def test_coverage_closed_form_matches_branch_and_bound():
         assert sel.solver_tag == "topk_linear"
         assert sel.items == ref.items, f"seed {seed}"
         assert sel.objective == ref.objective, f"seed {seed}"
+
+
+def one_pool_exposure_problem(seed, kind, objective_kind):
+    """A log-discount fairness problem with one pool holding every slot:
+    scores from four levels or continuous, a few alpha and lambda values,
+    ids that do not follow rank order. Combined problems keep a few
+    candidates in the pool with no slots."""
+    rng = random.Random(seed)
+    quantized = rng.random() < 0.5
+    score = (lambda: rng.choice((0.2, 0.4, 0.6, 0.8))) if quantized \
+        else rng.random
+    k = rng.randint(1, 4)
+    ids = [f"i{j:02d}" for j in rng.sample(range(100), k + rng.randint(0, 5))]
+    extra = [f"x{j:02d}" for j in rng.sample(range(100), rng.randint(1, 3))]
+    cfg = RerankConfig(
+        k=k, n=len(ids), alpha=rng.choice((0.2, 1.0, 2.0, 10.0)),
+        lam=rng.choice((0.0, 0.2, 0.4, 0.6)),
+        exposure=ExposureModel("log_discount"),
+        sign_mode=rng.choice(("penalize_repeat", "reward_repeat")),
+        objective_kind=objective_kind, theta=rng.choice((-1.0, 2.0)))
+    groups = groups_for(ids + extra, rng.sample(ids + extra, 2))
+    if kind == "unified":
+        reps = {"u": frozenset(i for i in ids if rng.random() < 0.5)}
+        return build_unified_problem("u", unified_cands(
+            {i: score() for i in ids}, n=len(ids)), reps, groups, {}, cfg)
+    # theta -1 gives every slot to the repeat pool, theta 2 to explore
+    rep, exp = (ids, extra) if cfg.theta < 0 else (extra, ids)
+    p = build_combined_problem("u", combined_cands(
+        {i: score() for i in rep}, {i: score() for i in exp}), {}, groups,
+        {}, cfg)
+    assert 0 in (p.repeat_slots, p.explore_slots) and p.total_slots == k
+    return p
+
+
+@pytest.mark.parametrize("objective_kind", ["raif", "naive_fair"])
+@pytest.mark.parametrize("kind", ["unified", "combined"])
+def test_exposure_dp_matches_oracle(kind, objective_kind):
+    for seed in range(150):
+        p = one_pool_exposure_problem(seed, kind, objective_kind)
+        sel, oracle = solve(p), solve_bruteforce(p)
+        assert sel.solver_tag == "exposure_dp"
+        assert sel.items == oracle.items, f"seed {seed}"
+        assert sel.objective == oracle.objective, f"seed {seed}"
+
+
+@pytest.mark.parametrize("kind", ["unified", "combined"])
+def test_exposure_dp_grows_prefix_to_every_candidate(kind):
+    # popular items lead the ranking and unpopular ones close it, so under a
+    # large alpha the optimum sits at the end and only the whole pool
+    # certifies it
+    ids = [f"i{j:02d}" for j in range(30)]
+    scores = {i: 1.0 - j / 100 for j, i in enumerate(ids)}
+    cfg = RerankConfig(k=3, n=30, alpha=100.0, theta=-1.0,
+                       objective_kind="naive_fair",
+                       exposure=ExposureModel("log_discount"))
+    groups = groups_for(ids + ["x"], ids[:-3] + ["x"])
+    if kind == "unified":
+        p = build_unified_problem("u", unified_cands(scores, n=30), {},
+                                  groups, {}, cfg)
+    else:
+        p = build_combined_problem("u", combined_cands(scores, {"x": 0.5}),
+                                   {}, groups, {}, cfg)
+        assert (p.repeat_slots, p.explore_slots) == (3, 0)
+    sel, oracle = solve(p), solve_bruteforce(p)
+    assert sel.solver_tag == "exposure_dp" and sel.nodes == 30
+    assert sel.items == oracle.items == ids[-3:]
+    assert sel.objective == oracle.objective
+
+
+@pytest.mark.parametrize("k", [12, 20])
+def test_exposure_dp_matches_branch_and_bound(k):
+    # past brute force's reach: N=100, scores from nine levels
+    for seed in range(40):
+        rng = random.Random(seed)
+        ids = [f"i{j:03d}" for j in rng.sample(range(1000), 100)]
+        scores = {i: rng.randint(1, 9) / 10 for i in ids}
+        cfg = RerankConfig(
+            k=k, n=100, alpha=rng.choice((0.5, 1.0, 5.0, 20.0)),
+            lam=rng.choice((0.0, 0.2, 0.4)),
+            objective_kind=rng.choice(("raif", "naive_fair")),
+            sign_mode=rng.choice(("penalize_repeat", "reward_repeat")),
+            exposure=ExposureModel("log_discount"))
+        reps = {"u": frozenset(i for i in ids if rng.random() < 0.4)}
+        p = build_unified_problem("u", unified_cands(scores), reps,
+                                  groups_for(ids, rng.sample(ids, 20)), {},
+                                  cfg)
+        sel, ref = solve(p), solve_branch_and_bound(p)
+        assert sel.solver_tag == "exposure_dp"
+        assert sel.items == ref.items, f"seed {seed}"
+        assert sel.objective == ref.objective, f"seed {seed}"
+
+
+def test_exposure_dp_floor_out_of_reach(monkeypatch):
+    # a negative tolerance puts the floor above the optimum, as rounding can
+    # put it above every completion: each position then takes the best one
+    problems = [one_pool_exposure_problem(seed, kind, "raif")
+                for seed in range(40) for kind in ("unified", "combined")]
+    optima = [solve_bruteforce(p).objective for p in problems]
+    monkeypatch.setattr(solver_module, "_TIE_TOL", -1e-9)
+    for p, optimum in zip(problems, optima):
+        assert solve_exposure_dp(p).objective == pytest.approx(optimum,
+                                                               abs=1e-12)
+
+
+def test_exposure_dp_rejects_out_of_scope_problems():
+    with pytest.raises(UsageError, match="exposure DP"):
+        solve_exposure_dp(two_pool_problem(objective_kind="raif", alpha=1.0))
+    with pytest.raises(UsageError, match="exposure DP"):
+        solve_exposure_dp(small_problem(epsilon=0.2))
 
 
 def test_toy_golden_is_oracle_output(tmp_path):
