@@ -24,8 +24,8 @@ from .scorer import (CandidateSet, import_scores, make_combined,
                      make_unified, missing_users, save_scores,
                      score_explore_popularity, score_repeat_topfreq)
 from .solver import RerankedBaskets, rerank_all
-from .tuner import (GridSpec, grid_points, run_grid, theta_deciles,
-                    write_chosen_config, write_sweep_csv)
+from .tuner import (GridSpec, grid_points, grids_read, run_grid,
+                    theta_deciles, write_chosen_config, write_sweep_csv)
 
 MODE_TO_KIND = {
     "radiv": "radiv",
@@ -411,18 +411,16 @@ def _cmd_tune(args) -> int:
                           recall_tolerance=args.recall_tolerance)
     # only the grids given on the command line, so that an empty one is
     # rejected rather than replaced by the default
-    grid = GridSpec(**{name: getattr(args, name) for name in
-                       ("epsilon_grid", "alpha_grid", "lambda_grid", "theta_grid")
-                       if getattr(args, name) is not None})
+    given = [name for name in ("epsilon_grid", "alpha_grid", "lambda_grid",
+                               "theta_grid") if getattr(args, name) is not None]
+    grid = GridSpec(**{name: getattr(args, name) for name in given})
     # a grid that this mode and candidate kind never read is an error
-    for name, unread, needs in [
-            ("theta_grid", cands.kind == "unified", "combined scores"),
-            ("lambda_grid", cands.kind == "combined", "unified scores"),
-            ("alpha_grid", cfg.objective_kind == "radiv", "--mode raif"),
-            ("epsilon_grid", cfg.objective_kind == "raif", "--mode radiv")]:
-        if unread and getattr(args, name) is not None:
-            raise UsageError(f"--{name.replace('_', '-')} is read only with "
-                             f"{needs}")
+    read = grids_read(cfg.objective_kind, cands.kind)
+    unread = [name for name in given if name not in read]
+    if unread:
+        raise UsageError(f"--{unread[0].replace('_', '-')} is not read with "
+                         f"{cands.kind} scores under --mode "
+                         f"{cfg.objective_kind}")
     if args.dry_run:
         points = grid_points(cfg.objective_kind, cands.kind, grid,
                              theta_deciles(cands) if cands.kind == "combined"

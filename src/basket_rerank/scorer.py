@@ -60,11 +60,6 @@ class CandidateSet:
 def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
     per_user: dict[str, ScoreList] = {}
     seen: dict[str, set[str]] = {}  # items per user, for the duplicate check
-    # One (item, score) pair per distinct row text, shared by every user's
-    # list, with one string per item id: built-in and popularity scores
-    # repeat across users, so this keeps a fraction of the copies. A row
-    # text seen before has already passed the score checks.
-    shared: dict[tuple[str, str], tuple[str, float]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -74,23 +69,23 @@ def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
             uid, item, raw = parts
-            pair = shared.get((item, raw))
-            if pair is None:
-                try:
-                    score = float(raw)
-                except ValueError as exc:
-                    raise DataError(f"{path}:{lineno}: bad score {raw!r}") from exc
-                if not math.isfinite(score):
-                    raise DataError(f"{path}:{lineno}: non-finite score for ({uid},{item})")
-                pair = shared[item, raw] = (sys.intern(item), score)
+            try:
+                score = float(raw)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: bad score {raw!r}") from exc
+            if not math.isfinite(score):
+                raise DataError(f"{path}:{lineno}: non-finite score for ({uid},{item})")
             user_items = seen.get(uid)
             if user_items is None:
                 user_items = seen[uid] = set()
                 per_user[uid] = []
             elif item in user_items:
                 raise DataError(f"{path}:{lineno}: duplicate (user,item) row ({uid},{item})")
-            user_items.add(pair[0])
-            per_user[uid].append(pair)
+            # one string per item id, shared by every user's list: ids
+            # repeat across users, so this keeps a fraction of the copies
+            item = sys.intern(item)
+            user_items.add(item)
+            per_user[uid].append((item, score))
     if not per_user:
         raise DataError(f"{path}: no score rows")
     return per_user

@@ -38,7 +38,6 @@ lexicographically smaller position-ordered item-id sequence wins.
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
 import time
@@ -341,8 +340,8 @@ def _adjusted_values(problem: RerankProblem) -> list[float]:
 
 
 def solve_exposure_dp(problem: RerankProblem) -> Selection:
-    """Ranking-order DP for problems without a coverage term and with at
-    most one pool with slots: position-weighted exposure, or additive.
+    """Ranking-order DP for problems with position-weighted exposure, no
+    coverage term and at most one pool with slots.
 
     The slotted pool's candidates are taken in ranking order, which is
     basket-position order, so the t-th item taken sits at position t and
@@ -359,16 +358,17 @@ def solve_exposure_dp(problem: RerankProblem) -> Selection:
     still reaches the optimum within the tolerance. ``nodes`` counts the
     candidates in the certified prefix.
     """
-    if problem.epsilon_eff or not _one_pool(problem):
-        raise UsageError("the exposure DP requires no diversity term and at "
-                         "most one pool with slots")
+    if (problem.epsilon_eff or not _one_pool(problem)
+            or not _position_dependent(problem)):
+        raise UsageError("the exposure DP requires a position-dependent "
+                         "fairness term, no diversity term and at most one "
+                         "pool with slots")
     start = time.perf_counter()
     pools, quotas = _checked_pools(problem)
     pool, k = (pools[0], quotas[0]) if quotas[0] else (pools[1], quotas[1])
     items = problem.items
     adj = _adjusted_values(problem)
-    coef_term = ([-problem.alpha_eff * c for c in problem.fairness_coef]
-                 if _position_dependent(problem) else [0.0] * len(items))
+    coef_term = [-problem.alpha_eff * c for c in problem.fairness_coef]
     eweights = problem.exposure.weights(k)
     epre = list(itertools.accumulate(eweights, initial=0.0))
 
@@ -386,7 +386,7 @@ def solve_exposure_dp(problem: RerankProblem) -> Selection:
         if m == len(pool):
             break
         rest = pool[m:]
-        best_rest = heapq.nlargest(k, [adj[j] for j in rest])
+        best_rest = sorted([adj[j] for j in rest], reverse=True)[:k]
         max_coef = max([coef_term[j] for j in rest])
         floor = f[k] - _TIE_TOL
         tail = 0.0

@@ -99,11 +99,20 @@ def _problem_key(problem: RerankProblem) -> tuple:
             problem.short, problem.objective_kind)
 
 
+def grids_read(kind: str, cands_kind: str) -> tuple[str, str]:
+    """The two GridSpec fields a run reads: the weight grid (epsilon for
+    radiv, alpha for raif) and lambda for unified or theta for combined
+    candidates."""
+    return ("epsilon_grid" if kind == "radiv" else "alpha_grid",
+            "lambda_grid" if cands_kind == "unified" else "theta_grid")
+
+
 def grid_points(kind: str, cands_kind: str, grid: GridSpec,
                 theta_default: list[float]) -> list[tuple[float, float, float]]:
     """(weight, lambda, theta) tuples in deterministic lexicographic order."""
-    weights = grid.epsilon_grid if kind == "radiv" else grid.alpha_grid
-    if cands_kind == "unified":
+    weight_grid, second_grid = grids_read(kind, cands_kind)
+    weights = getattr(grid, weight_grid)
+    if second_grid == "lambda_grid":
         return [(w, lam, 0.0) for w in weights for lam in grid.lambda_grid]
     thetas = grid.theta_grid if grid.theta_grid is not None else theta_default
     return [(w, 0.0, th) for w in weights for th in thetas]

@@ -464,11 +464,14 @@ class TestBadInputExitCodes:
         assert err.splitlines() == [f"usage error: {name} is empty"]
 
     @pytest.mark.parametrize("change, message", [
-        (["--theta-grid", "0.5"], "--theta-grid is read only with combined "
-                                  "scores"),
-        ("combined", "--lambda-grid is read only with unified scores"),
-        (["--alpha-grid", "1"], "--alpha-grid is read only with --mode raif"),
-        ("raif", "--epsilon-grid is read only with --mode radiv"),
+        (["--theta-grid", "0.5"], "--theta-grid is not read with unified "
+                                  "scores under --mode radiv"),
+        ("combined", "--lambda-grid is not read with combined scores under "
+                     "--mode radiv"),
+        (["--alpha-grid", "1"], "--alpha-grid is not read with unified scores "
+                                "under --mode radiv"),
+        ("raif", "--epsilon-grid is not read with unified scores under "
+                 "--mode raif"),
     ], ids=["theta-unified", "lambda-combined", "alpha-radiv", "epsilon-raif"])
     @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]],
                              ids=["run", "dry-run"])

@@ -54,18 +54,6 @@ class TestImportScores:
                                             r"\(user,item\) row \(u1,a\)"):
             import_scores(path, "unified")
 
-    def test_repeated_row_text(self, tmp_path):
-        # a row text read before gives other users the same pair, and an
-        # exact repeat within one user is still a duplicate
-        rows = [("u1", "a", 0.5), ("u2", "a", 0.5), ("u2", "b", 0.5)]
-        cands = import_scores(write_tsv(tmp_path, rows), "unified")
-        assert cands.unified == {"u1": [("a", 0.5)],
-                                 "u2": [("a", 0.5), ("b", 0.5)]}
-        path = write_tsv(tmp_path, rows + [("u1", "a", 0.5)], "dup.tsv")
-        with pytest.raises(DataError, match=r"dup\.tsv:4: duplicate "
-                                            r"\(user,item\) row \(u1,a\)"):
-            import_scores(path, "unified")
-
     def test_combined_needs_two_files(self, tmp_path):
         path = write_tsv(tmp_path, [("u1", "a", 0.5)])
         with pytest.raises(DataError, match="explore"):

@@ -525,6 +525,9 @@ def test_exposure_dp_rejects_out_of_scope_problems():
         solve_exposure_dp(two_pool_problem(objective_kind="raif", alpha=1.0))
     with pytest.raises(UsageError, match="exposure DP"):
         solve_exposure_dp(small_problem(epsilon=0.2))
+    with pytest.raises(UsageError, match="exposure DP"):
+        solve_exposure_dp(small_problem("raif", alpha=1.0,
+                                        exposure=ExposureModel("uniform")))
 
 
 def test_toy_golden_is_oracle_output(tmp_path):
