@@ -147,10 +147,13 @@ def _effective_weights(cfg: RerankConfig, kind_override: str | None = None
     return rel_scale, eps, alpha, sign * lam
 
 
-def _fairness_coef(item: str, groups: ItemGroups) -> float:
-    if item in groups.popular:
-        return 1.0 / len(groups.popular)
-    return -1.0 / len(groups.unpopular)
+def _fairness_coefs(items: list[str], groups: ItemGroups) -> list[float]:
+    """1 / |popular| for each popular item, -1 / |unpopular| for any other;
+    the constant of an empty group is 0."""
+    popular = groups.popular
+    pos = 1.0 / len(popular) if popular else 0.0
+    neg = -1.0 / len(groups.unpopular) if groups.unpopular else 0.0
+    return [pos if i in popular else neg for i in items]
 
 
 def build_unified_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
@@ -173,7 +176,7 @@ def build_unified_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
         relevance=[s for _, s in pairs],
         is_repeat=[i in rep for i in items],
         category=[categories.get(i, "UNK") for i in items],
-        fairness_coef=[_fairness_coef(i, groups) for i in items],
+        fairness_coef=_fairness_coefs(items, groups),
         kind="unified",
         repeat_slots=cfg.k, explore_slots=0, short=False,
         rel_scale=rel_scale, epsilon_eff=eps, alpha_eff=alpha,
@@ -228,23 +231,20 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
 
     h, explore_slots, short = _slot_split(rep_pairs, len(exp_pairs), cfg)
 
-    # merged candidate list in within-basket ranking order
-    entries: list[tuple[str, float, bool]] = []
-    for item, score in rep_pairs:
-        entries.append((item, score, True))
-    for item, score in exp_pairs:
-        entries.append((item, score, False))
-    entries.sort(key=lambda e: (-e[1], e[0]))
+    # merged candidate list in within-basket ranking order; an id in both
+    # pools keeps its repeat entry first
+    entries = sorted([(-score, item, False) for item, score in rep_pairs]
+                     + [(-score, item, True) for item, score in exp_pairs])
 
     rel_scale, eps, alpha, slam = _effective_weights(cfg)
-    items = [e[0] for e in entries]
+    items = [item for _, item, _ in entries]
     return RerankProblem(
         user_id=user_id,
         items=items,
-        relevance=[e[1] for e in entries],
-        is_repeat=[e[2] for e in entries],
+        relevance=[-neg for neg, _, _ in entries],
+        is_repeat=[not explore for _, _, explore in entries],
         category=[categories.get(i, "UNK") for i in items],
-        fairness_coef=[_fairness_coef(i, groups) for i in items],
+        fairness_coef=_fairness_coefs(items, groups),
         kind="combined",
         repeat_slots=h, explore_slots=explore_slots, short=short,
         rel_scale=rel_scale, epsilon_eff=eps, alpha_eff=alpha,

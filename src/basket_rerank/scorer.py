@@ -58,8 +58,15 @@ class CandidateSet:
 
 
 def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
+    """Each user's (item, score) rows in file order.
+
+    A malformed line raises as it is read. Duplicate (user, item) rows are
+    looked for once the file is read, one set per user; only when there is
+    one is the file read again, for the line of the first. So a duplicate
+    before a malformed line reports the malformed line.
+    """
     per_user: dict[str, ScoreList] = {}
-    seen: dict[str, set[str]] = {}  # items per user, for the duplicate check
+    uid = rows = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -68,27 +75,45 @@ def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            uid, item, raw = parts
+            row_uid, item, raw = parts
             try:
                 score = float(raw)
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad score {raw!r}") from exc
             if not math.isfinite(score):
-                raise DataError(f"{path}:{lineno}: non-finite score for ({uid},{item})")
-            user_items = seen.get(uid)
-            if user_items is None:
-                user_items = seen[uid] = set()
-                per_user[uid] = []
-            elif item in user_items:
-                raise DataError(f"{path}:{lineno}: duplicate (user,item) row ({uid},{item})")
+                raise DataError(
+                    f"{path}:{lineno}: non-finite score for ({row_uid},{item})")
+            if row_uid != uid:
+                uid = row_uid
+                rows = per_user.get(uid)
+                if rows is None:
+                    rows = per_user[uid] = []
             # one string per item id, shared by every user's list: ids
             # repeat across users, so this keeps a fraction of the copies
-            item = sys.intern(item)
-            user_items.add(item)
-            per_user[uid].append((item, score))
+            rows.append((sys.intern(item), score))
     if not per_user:
         raise DataError(f"{path}: no score rows")
+    if any(len({item for item, _ in rows}) != len(rows)
+           for rows in per_user.values()):
+        raise _first_duplicate(path)
     return per_user
+
+
+def _first_duplicate(path: str) -> DataError:
+    """The error for the first (user, item) row of ``path`` that repeats an
+    earlier one."""
+    seen: set[tuple[str, ...]] = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            key = tuple(line.split("\t")[:2])
+            if key in seen:
+                return DataError(f"{path}:{lineno}: duplicate (user,item) "
+                                 f"row ({key[0]},{key[1]})")
+            seen.add(key)
+    return DataError(f"{path}: duplicate (user,item) rows")
 
 
 def import_scores(path: str, kind: str = "unified", n: int = 100,

@@ -11,7 +11,10 @@ one exact algorithm per problem shape:
   pool. Without coverage, each pool takes its top items by adjusted
   per-item value. With coverage, the gain is separable and concave per
   category, so the pool's largest marginal gains are an optimum
-  (``_coverage_cut``).
+  (``_coverage_cut``). Items tied at the cut are chosen by the tie rule
+  (``_fill_ties``): the smallest ids when the choice fills one block of
+  positions, else one incremental walk per basket position over the tied
+  and forced candidates only, whatever N.
 * ``solve_exposure_dp`` -- a ranking-order DP for the problems left with
   no coverage term and at most one pool with slots: position-dependent
   exposure in every unified problem, and in combined ones whose H(theta)
@@ -254,7 +257,13 @@ def _fill_ties(problem: RerankProblem, forced: list[int],
     """Choose each pool's ``total`` candidates from its tie groups, each
     group (candidate indices in candidate order, lo, hi) giving between lo
     and hi of them, so that, with the ``forced`` ones, the position-ordered
-    id sequence is the smallest."""
+    id sequence is the smallest.
+
+    When every group's count is fixed and the members a group leaves out
+    share one relevance, the first ids of each group are the answer.
+    Otherwise ``_walk_ties`` fills the positions in order; a position costs
+    one step per group member or forced candidate it walks past.
+    """
     rel = problem.relevance
     if all(lo == hi and (lo == len(members) or not lo
                          or rel[members[0]] == rel[members[-1]])
@@ -264,59 +273,91 @@ def _fill_ties(problem: RerankProblem, forced: list[int],
         # smallest ids
         return [j for _, groups in pools for members, need, _ in groups
                 for j in members[:need]]
-    # Fill positions in ranking order, each with the smallest id that keeps
-    # a completion: taking candidate j skips every candidate before it, so
-    # with cnt[h] group h's members from j on, j is feasible when every
-    # group can still reach its lo (lo <= cnt) and every pool's slots left
-    # fit in the sum of min(hi, cnt). That test does not depend on j's
-    # group and fails from some j on, so one walk from the cursor finds
-    # every feasible option. A member of a group already at its lo also
-    # needs a slot beyond the pool's summed lo.
-    items, n = problem.items, problem.n_candidates
-    members = [m for _, groups in pools for m, _, _ in groups]
-    pool_of = [p for p, (_, groups) in enumerate(pools) for _ in groups]
-    lo = [g_lo for _, groups in pools for _, g_lo, _ in groups]
-    hi = [g_hi for _, groups in pools for _, _, g_hi in groups]
+    return _walk_ties(problem, forced, pools)
+
+
+def _walk_ties(problem: RerankProblem, forced: list[int],
+               pools: list[tuple[int, list[tuple[list[int], int, int]]]]
+               ) -> list[int]:
+    """``_fill_ties``'s general path: fill positions in candidate order,
+    each with the smallest id that keeps a completion (the groups must
+    admit one).
+
+    Taking candidate j skips every group member before it. With ``cnt[g]``
+    group g's members from j on, a completion exists when no group is short
+    of its lo (lo <= cnt) and each pool's slots left fit in its room, the
+    sum of min(hi, cnt). That test does not depend on j's group and fails
+    from some j on, so one walk from the cursor finds every option: each
+    member whose group still has a slot (hi > 0) in a pool with slots left
+    -- a member of a group at its lo also needs the pool's slack, a slot
+    beyond its summed lo -- and the next forced candidate, where the walk
+    ends.
+
+    The walk visits group members and forced candidates only, keeping
+    ``cnt``, each pool's room less its slots left (``spare``) and the count
+    of short groups up to date as it passes each member. It then undoes its
+    passes from the chosen candidate on and takes it, which lowers the
+    group's lo, hi and members left and the pool's room and slots left by
+    one each. A position costs one step per member or forced candidate
+    walked past, whatever the number of candidates outside the groups.
+    """
+    items = problem.items
+    lo: list[int] = []
+    hi: list[int] = []
+    cnt: list[int] = []
+    pool_of: list[int] = []
     left = [total for total, _ in pools]
-    group_of = {j: g for g, m in enumerate(members) for j in m}
-    remaining = [len(m) for m in members]  # members from the cursor on
-    forced = sorted(forced)
+    spare = [-total for total in left]
+    slack = left[:]
+    walk = [(j, -1) for j in forced]  # (candidate, group), -1 if forced
+    for p, (_, groups) in enumerate(pools):
+        for members, g_lo, g_hi in groups:
+            walk += [(j, len(lo)) for j in members]
+            lo.append(g_lo)
+            hi.append(g_hi)
+            cnt.append(len(members))
+            pool_of.append(p)
+            spare[p] += min(g_hi, len(members))
+            slack[p] -= max(g_lo, 0)
+    walk.sort()
+    short = sum(g_lo > c for g_lo, c in zip(lo, cnt))
     taken: list[int] = []
-    cursor = next_forced = 0
+    cursor = 0
     while any(left):
-        stop = forced[next_forced] if next_forced < len(forced) else n
-        cnt = remaining[:]
-        room = [0] * len(left)
-        slack = left[:]
-        for g, p in enumerate(pool_of):
-            room[p] += min(hi[g], cnt[g])
-            slack[p] -= max(lo[g], 0)
-        short = sum(lo[g] > cnt[g] for g in range(len(cnt)))
         best = -1
-        for j in range(cursor, min(stop + 1, n)):
-            if short or any(r < t for r, t in zip(room, left)):
+        for i in range(cursor, len(walk)):
+            j, g = walk[i]
+            if g < 0:
+                if best < 0 or items[j] < items[walk[best][0]]:
+                    best = i
                 break
-            g = group_of.get(j, -1)
-            if j == stop or (g >= 0 and hi[g] and left[pool_of[g]]
-                             and (lo[g] > 0 or slack[pool_of[g]])):
-                if best < 0 or items[j] < items[best]:
-                    best = j
+            p = pool_of[g]
+            if (hi[g] and left[p] and (lo[g] > 0 or slack[p])
+                    and (best < 0 or items[j] < items[walk[best][0]])):
+                best = i
+            if cnt[g] <= hi[g]:
+                spare[p] -= 1
+            cnt[g] -= 1
+            short += cnt[g] == lo[g] - 1
+            if short or spare[p] < 0:
+                break
+        # undo the passes from the chosen candidate on, then take it
+        for _, g in walk[best:i + 1]:
             if g >= 0:
+                short -= cnt[g] == lo[g] - 1
+                cnt[g] += 1
                 if cnt[g] <= hi[g]:
-                    room[pool_of[g]] -= 1
-                cnt[g] -= 1
-                short += cnt[g] == lo[g] - 1
-        for j in range(cursor, best + 1):
-            if j in group_of:
-                remaining[group_of[j]] -= 1
-        if best == stop:
-            next_forced += 1
-        else:
-            g = group_of[best]
+                    spare[pool_of[g]] += 1
+        j, g = walk[best]
+        if g >= 0:
+            p = pool_of[g]
+            if lo[g] <= 0:
+                slack[p] -= 1
+            cnt[g] -= 1
             lo[g] -= 1
             hi[g] -= 1
-            left[pool_of[g]] -= 1
-            taken.append(best)
+            left[p] -= 1
+            taken.append(j)
         cursor = best + 1
     return taken
 
@@ -326,17 +367,13 @@ def _adjusted_values(problem: RerankProblem) -> list[float]:
     unless it depends on position (uniform exposure: e(p) == 1)."""
     rel_scale, alpha = problem.rel_scale, problem.alpha_eff
     repeat_term = problem.signed_lambda / problem.k
-    pd = _position_dependent(problem)
-    out = []
-    for rel, rep, coef in zip(problem.relevance, problem.is_repeat,
-                              problem.fairness_coef):
-        v = rel_scale * rel
-        if rep:
-            v += repeat_term
-        if not pd:
-            v -= alpha * coef
-        out.append(v)
-    return out
+    if _position_dependent(problem):
+        return [rel_scale * rel + repeat_term if rep else rel_scale * rel
+                for rel, rep in zip(problem.relevance, problem.is_repeat)]
+    return [(rel_scale * rel + repeat_term if rep else rel_scale * rel)
+            - alpha * coef
+            for rel, rep, coef in zip(problem.relevance, problem.is_repeat,
+                                      problem.fairness_coef)]
 
 
 def solve_exposure_dp(problem: RerankProblem) -> Selection:

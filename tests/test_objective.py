@@ -194,6 +194,17 @@ class TestBuildUnifiedProblem:
         p = build_unified_problem("u", unified_cands(scores), {},
                                   groups_for("abc", "a"), {}, cfg)
         assert p.items == ["c", "a", "b"]
+        # the combined merge: repeat and explore ids interleave within a
+        # score, and an id in both pools puts its repeat entry first
+        rep = {"d": 0.5, "b": 0.5, "r": 0.9, "f": 0.1}
+        exp = {"e": 0.5, "a": 0.5, "c": 0.5, "b": 0.5, "x": 0.7}
+        p = build_combined_problem("u", combined_cands(rep, exp), {},
+                                   groups_for("abcdefrx", "a"), {},
+                                   RerankConfig(k=2, n=9, theta=0.5))
+        assert list(zip(p.items, p.is_repeat, p.relevance)) == [
+            ("r", True, 0.9), ("x", False, 0.7), ("a", False, 0.5),
+            ("b", True, 0.5), ("b", False, 0.5), ("c", False, 0.5),
+            ("d", True, 0.5), ("e", False, 0.5), ("f", True, 0.1)]
 
 
 class TestComputeHTheta:

@@ -54,6 +54,20 @@ class TestImportScores:
                                             r"\(user,item\) row \(u1,a\)"):
             import_scores(path, "unified")
 
+    def test_duplicate_faults_order(self, tmp_path):
+        # duplicates are looked for after the whole file is read: a
+        # malformed line after a duplicate is the fault reported
+        path = write_tsv(tmp_path, [("u1", "a", 0.5), ("u1", "a", 0.4),
+                                    ("u1", "b", "x")])
+        with pytest.raises(DataError, match=r"scores\.tsv:3: bad score 'x'"):
+            import_scores(path, "unified")
+        # of several duplicates, the first in file order, whatever its user
+        path = write_tsv(tmp_path, [("u1", "a", 0.5), ("u2", "b", 0.5),
+                                    ("u2", "b", 0.3), ("u1", "a", 0.4)])
+        with pytest.raises(DataError, match=r"scores\.tsv:3: duplicate "
+                                            r"\(user,item\) row \(u2,b\)"):
+            import_scores(path, "unified")
+
     def test_combined_needs_two_files(self, tmp_path):
         path = write_tsv(tmp_path, [("u1", "a", 0.5)])
         with pytest.raises(DataError, match="explore"):

@@ -418,6 +418,65 @@ def test_coverage_closed_form_matches_branch_and_bound():
         assert sel.objective == ref.objective, f"seed {seed}"
 
 
+def general_fill_problem(seed, kind):
+    """A closed-form problem with several tie groups whose members differ in
+    relevance: 4-8 categories, 2-4 score levels, K 4-6, and weights at the
+    levels' gap, so that a repeat, a new category or a fairness coefficient
+    ties an item with one a level above it. Unified problems have coverage;
+    combined ones either give every slot to one pool and have coverage, or
+    give both pools slots under a uniform fairness term."""
+    rng = random.Random(seed)
+    levels = rng.sample((0.2, 0.4, 0.6, 0.8), rng.randint(2, 4))
+    k = rng.randint(4, 6)
+    ids = [f"i{j:02d}" for j in rng.sample(range(100), k + rng.randint(2, 5))]
+    n_cats = rng.randint(4, 8)
+    cats = {i: f"c{rng.randrange(n_cats)}" for i in ids}
+    scores = {i: rng.choice(levels) for i in ids}
+    two_pools = kind == "combined" and rng.random() < 0.5
+    cfg = RerankConfig(
+        k=k, n=len(ids), lam=rng.choice((0.0, 0.2, 0.4)),
+        epsilon=0.0 if two_pools else rng.choice((0.2, 0.4)),
+        alpha=0.2 if two_pools else 0.0, exposure=ExposureModel("uniform"),
+        sign_mode=rng.choice(("penalize_repeat", "reward_repeat")),
+        objective_kind="raif" if two_pools else rng.choice(("radiv",
+                                                            "naive_div")),
+        theta=rng.choice(levels) if two_pools else rng.choice((-1.0, 2.0)))
+    # four group members make each fairness coefficient +-0.5: alpha 0.2
+    # moves an adjusted value by 0.1 either way, the levels' gap between them
+    groups = groups_for(ids, rng.sample(ids, 2))
+    groups.unpopular = set(rng.sample(sorted(groups.unpopular), 2))
+    if kind == "unified":
+        reps = {"u": frozenset(i for i in ids if rng.random() < 0.5)}
+        return build_unified_problem("u", unified_cands(scores, n=len(ids)),
+                                     reps, groups, cats, cfg)
+    # theta -1 gives every slot to the repeat pool, theta 2 to explore
+    cut = (rng.randint(2, len(ids) - 2) if two_pools
+           else len(ids) - 2 if cfg.theta < 0 else 2)
+    rep = {i: scores[i] for i in ids[:cut]}
+    exp = {i: scores[i] for i in ids[cut:]}
+    return build_combined_problem("u", combined_cands(rep, exp), {}, groups,
+                                  cats, cfg)
+
+
+@pytest.mark.parametrize("kind", ["unified", "combined"])
+def test_general_tie_fill_matches_oracle(kind, monkeypatch):
+    walks = []
+    walk = solver_module._walk_ties
+    monkeypatch.setattr(solver_module, "_walk_ties",
+                        lambda *args: walks.append(1) or walk(*args))
+    for seed in range(150):
+        p = general_fill_problem(seed, kind)
+        if p.short:
+            continue
+        sel, oracle = solve(p), solve_bruteforce(p)
+        assert sel.solver_tag == "topk_linear"
+        assert sel.items == oracle.items, f"seed {seed}"
+        assert sel.objective == oracle.objective, f"seed {seed}"
+    # the general path ran: 86 of the unified problems, 45 of the combined;
+    # a walk that leaves its pool's room unchanged on a take fails here
+    assert len(walks) >= 40
+
+
 def one_pool_exposure_problem(seed, kind, objective_kind):
     """A log-discount fairness problem with one pool holding every slot:
     scores from four levels or continuous, a few alpha and lambda values,
