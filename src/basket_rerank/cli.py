@@ -91,7 +91,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--theta", type=float,
+                   help="combined scores only (default 0)")
     p.add_argument("--sign", choices=["auto", "penalize", "reward"],
                    default="penalize")
     p.add_argument("--targets", help="for --sign auto only")
@@ -148,7 +149,8 @@ def _add_problem_flags(p: argparse.ArgumentParser, modes: list[str]) -> None:
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--theta-inclusive", action="store_true",
-                   help="count repeat scores >= theta instead of > theta")
+                   help="combined scores only: count repeat scores >= theta "
+                        "instead of > theta")
     p.add_argument("--exposure", choices=EXPOSURES, default="log-discount")
 
 
@@ -202,12 +204,22 @@ def _load_candidates(args) -> CandidateSet:
                      "--repeat-scores and --explore-scores (combined)")
 
 
-def _problem_config(args, **fields) -> RerankConfig:
-    """``_add_problem_flags``'s settings plus the verb's own ``fields``."""
-    return RerankConfig(k=args.k, n=args.n,
-                        theta_strict=not args.theta_inclusive,
-                        exposure=_exposure(args.exposure),
-                        objective_kind=MODE_TO_KIND[args.mode], **fields)
+def _problem_config(args, cands: CandidateSet, **fields) -> RerankConfig:
+    """``_add_problem_flags``'s settings plus the verb's own ``fields``.
+
+    Unified scores have no H(theta) slot split, so a theta flag given with
+    them is read by nothing: a usage error, checked once the settings are.
+    """
+    cfg = RerankConfig(k=args.k, n=args.n,
+                       theta_strict=not args.theta_inclusive,
+                       exposure=_exposure(args.exposure),
+                       objective_kind=MODE_TO_KIND[args.mode], **fields)
+    if cands.kind == "unified":
+        for flag, given in (("--theta", getattr(args, "theta", None) is not None),
+                            ("--theta-inclusive", args.theta_inclusive)):
+            if given:
+                raise UsageError(f"{flag} is not read with unified scores")
+    return cfg
 
 
 def _write_baskets_tsv(baskets: RerankedBaskets, repeat_of, path: str) -> None:
@@ -222,20 +234,25 @@ def _write_baskets_tsv(baskets: RerankedBaskets, repeat_of, path: str) -> None:
 
 def read_baskets_tsv(path: str) -> dict[str, list[str]]:
     out: dict[str, list[tuple[int, str]]] = {}
+    uid = rows = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields")
-            uid, rank, item, _flag = parts
             try:
+                row_uid, rank, item, _flag = line.split("\t")
                 position = int(rank)
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad rank {rank!r}") from exc
-            out.setdefault(uid, []).append((position, item))
+                parts = line.rstrip("\n").split("\t")
+                if parts == [""]:
+                    continue
+                if len(parts) != 4:
+                    raise DataError(f"{path}:{lineno}: expected 4 fields") from None
+                raise DataError(f"{path}:{lineno}: bad rank {parts[1]!r}") from exc
+            if row_uid != uid:
+                uid = row_uid
+                rows = out.get(uid)
+                if rows is None:
+                    rows = out[uid] = []
+            rows.append((position, item))
     return {u: [item for _, item in sorted(rows)] for u, rows in out.items()}
 
 
@@ -312,8 +329,9 @@ def _load_common(args):
 
 def _cmd_rerank(args) -> int:
     train, categories, reps, groups, cands = _load_common(args)
-    cfg = _problem_config(args, epsilon=args.epsilon, alpha=args.alpha,
-                          lam=args.lam, theta=args.theta)
+    cfg = _problem_config(args, cands, epsilon=args.epsilon, alpha=args.alpha,
+                          lam=args.lam,
+                          theta=0.0 if args.theta is None else args.theta)
     if args.sign == "auto":
         if not args.targets:
             raise UsageError("--sign auto needs --targets to estimate the "
@@ -407,7 +425,7 @@ def _cmd_tune(args) -> int:
     if targets.split_label != "validation":
         raise UsageError(f"tune needs validation targets, got "
                          f"{targets.split_label!r}")
-    cfg = _problem_config(args, omega=args.omega, log_base=args.log_base,
+    cfg = _problem_config(args, cands, omega=args.omega, log_base=args.log_base,
                           recall_tolerance=args.recall_tolerance)
     # only the grids given on the command line, so that an empty one is
     # rejected rather than replaced by the default

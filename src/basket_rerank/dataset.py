@@ -2,6 +2,11 @@
 
 Baskets are chronological per user. All functions are pure: they return
 new datasets and never mutate their inputs.
+
+Files are read line by line, never whole: a whole-file read is no faster
+here and holds every line's text at once beside the parsed baskets, which
+raises the peak resident size. Item counts are one ``Counter`` over the
+chained baskets, not one update per basket.
 """
 from __future__ import annotations
 
@@ -11,6 +16,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import DataError
 
@@ -33,11 +39,8 @@ class BasketDataset:
 
     @property
     def item_vocabulary(self) -> set[str]:
-        vocab: set[str] = set()
-        for u in self.users:
-            for b in u.baskets:
-                vocab.update(b)
-        return vocab
+        return set(chain.from_iterable(
+            chain.from_iterable(u.baskets for u in self.users)))
 
     @property
     def user_ids(self) -> list[str]:
@@ -112,13 +115,14 @@ def _load_jsonl(path: str) -> tuple[list[UserHistory], int]:
             if uid in seen:
                 raise DataError(f"{path}:{lineno}: duplicate user {uid!r}")
             seen.add(uid)
-            baskets = []
-            for b in raw_baskets:
-                if not b:
-                    raise DataError(f"{path}:{lineno}: empty basket for user {uid!r}")
-                items = [str(i) for i in b]
-                dedup += len(items) - len(set(items))
-                baskets.append(frozenset(items))
+            try:
+                if not all(raw_baskets):
+                    raise DataError(
+                        f"{path}:{lineno}: empty basket for user {uid!r}")
+                baskets = [frozenset(map(str, b)) for b in raw_baskets]
+                dedup += sum(map(len, raw_baskets)) - sum(map(len, baskets))
+            except TypeError as exc:  # "baskets" or one basket is no list
+                raise DataError(f"{path}:{lineno}: malformed record ({exc})") from exc
             users.append(UserHistory(uid, baskets))
     return users, dedup
 
@@ -151,8 +155,9 @@ def _load_csv(path: str) -> tuple[list[UserHistory], int]:
         baskets = []
         for idx in sorted(per_user[uid]):
             items = per_user[uid][idx]
-            dedup += len(items) - len(set(items))
-            baskets.append(frozenset(items))
+            basket = frozenset(items)
+            dedup += len(items) - len(basket)
+            baskets.append(basket)
         users.append(UserHistory(uid, baskets))
     return users, dedup
 
@@ -204,25 +209,23 @@ def filter_min_activity(ds: BasketDataset, min_baskets: int = 3,
     One pass of either rule can re-violate the other, so both are applied
     until the dataset stops changing. Emptied baskets are dropped.
     """
-    users = [UserHistory(u.user_id, list(u.baskets)) for u in ds.users]
+    users = ds.users  # every pass builds new users; none is changed in place
     while True:
-        counts: Counter[str] = Counter()
-        for u in users:
-            for b in u.baskets:
-                counts.update(b)
+        counts = Counter(chain.from_iterable(
+            chain.from_iterable(u.baskets for u in users)))
         bad_items = {i for i, c in counts.items() if c < min_item_purchases}
         changed = False
         next_users = []
         for u in users:
             baskets = []
             for b in u.baskets:
+                if b.isdisjoint(bad_items):
+                    baskets.append(b)
+                    continue
+                changed = True
                 kept = b - bad_items
-                if kept != b:
-                    changed = True
                 if kept:
-                    baskets.append(frozenset(kept))
-                else:
-                    changed = True
+                    baskets.append(kept)
             if len(baskets) >= min_baskets:
                 next_users.append(UserHistory(u.user_id, baskets))
             else:
@@ -288,7 +291,7 @@ def load_targets(path: str, train: BasketDataset) -> SplitDataset:
             try:
                 rec = json.loads(line)
                 uid = str(rec["user_id"])
-                basket = frozenset(str(i) for i in rec["basket"])
+                basket = frozenset(map(str, rec["basket"]))
                 label = rec.get("split", label)
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed target ({exc})") from exc
@@ -304,10 +307,9 @@ def build_repeat_sets(train: BasketDataset) -> RepeatSets:
     for u in train.users:
         if not u.baskets:
             raise DataError(f"user {u.user_id!r} has no training baskets")
-        items: set[str] = set()
-        for b in u.baskets:
-            items.update(b)
-        reps[u.user_id] = frozenset(items)
+        # copied from a set, the frozenset's table is sized for the distinct
+        # items; one grown from the chained baskets can be twice as large
+        reps[u.user_id] = frozenset(set(chain.from_iterable(u.baskets)))
     return reps
 
 
@@ -320,14 +322,13 @@ def build_item_groups(train: BasketDataset, top_fraction: float = 0.2) -> ItemGr
     """
     if not (0 < top_fraction < 1):
         raise DataError(f"top_fraction must be in (0,1), got {top_fraction}")
-    counts: Counter[str] = Counter()
-    for u in train.users:
-        for b in u.baskets:
-            counts.update(b)
+    counts = Counter(chain.from_iterable(
+        chain.from_iterable(u.baskets for u in train.users)))
     if len(counts) < 2:
         raise DataError(f"item groups need at least 2 purchased items in "
                         f"train, got {len(counts)}")
-    ranked = sorted(counts, key=lambda i: (-counts[i], i))
+    ranked = sorted(counts)
+    ranked.sort(key=counts.__getitem__, reverse=True)
     n_pop = math.ceil(top_fraction * len(ranked))
     popular = set(ranked[:n_pop])
     unpopular = set(ranked[n_pop:])

@@ -6,6 +6,12 @@ Every emitted list is sorted by score descending with item-id-ascending
 ties and truncated to the top N. Explore lists all come from one global
 popularity ranking: each user's list is its first N items the user has not
 bought before.
+
+Score files are read line by line, never whole: a whole-file read is no
+faster here and holds every line's text at once beside the parsed rows,
+which raises the peak resident size. ``save_scores`` formats each distinct
+score once per call: the built-in scores are ratios of small counts, so a
+file of many rows holds few distinct values.
 """
 from __future__ import annotations
 
@@ -13,7 +19,8 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
+from operator import itemgetter
 
 from .dataset import BasketDataset, RepeatSets
 from .errors import DataError
@@ -21,19 +28,34 @@ from .errors import DataError
 ScoreList = list[tuple[str, float]]
 
 
+_ID = itemgetter(0)
+_SCORE = itemgetter(1)
+
+
 def _rank_key(pair: tuple[str, float]) -> tuple[float, str]:
     return -pair[1], pair[0]
 
 
 def rank_pairs(pairs: ScoreList, n: int | None = None) -> ScoreList:
-    """Sort (item, score) pairs by score desc, id asc; truncate to n."""
-    ranked = sorted(pairs, key=_rank_key)
+    """Sort (item, score) pairs by score desc, id asc; truncate to n.
+
+    Two native-key passes, by id and then a stable pass by score
+    descending: on unordered pairs, faster than one pass on a Python key.
+    """
+    ranked = sorted(pairs, key=_ID)
+    ranked.sort(key=_SCORE, reverse=True)
     return ranked if n is None else ranked[:n]
 
 
 def _ranked_in_place(per_user: dict[str, ScoreList], n: int
                      ) -> dict[str, ScoreList]:
-    """``rank_pairs`` applied to every list in place, with no copy."""
+    """``rank_pairs`` applied to every list in place, with no copy.
+
+    For lists made of ranked runs, like score files (``save_scores``
+    writes them ranked) and ``make_unified``'s two sides: there one pass
+    on a (-score, id) key merges the runs, and the two native-key passes of
+    ``rank_pairs`` are slower, because their first undoes the order.
+    """
     for rows in per_user.values():
         rows.sort(key=_rank_key)
         del rows[n:]
@@ -69,17 +91,18 @@ def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
     uid = rows = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            row_uid, item, raw = parts
             try:
+                # float() ignores the newline left on the last field
+                row_uid, item, raw = line.split("\t")
                 score = float(raw)
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad score {raw!r}") from exc
+                parts = line.rstrip("\n").split("\t")
+                if parts == [""]:
+                    continue
+                if len(parts) != 3:
+                    raise DataError(
+                        f"{path}:{lineno}: expected 3 tab-separated fields") from None
+                raise DataError(f"{path}:{lineno}: bad score {parts[2]!r}") from exc
             if not math.isfinite(score):
                 raise DataError(
                     f"{path}:{lineno}: non-finite score for ({row_uid},{item})")
@@ -93,8 +116,7 @@ def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
             rows.append((sys.intern(item), score))
     if not per_user:
         raise DataError(f"{path}: no score rows")
-    if any(len({item for item, _ in rows}) != len(rows)
-           for rows in per_user.values()):
+    if any(len(set(map(_ID, rows))) != len(rows) for rows in per_user.values()):
         raise _first_duplicate(path)
     return per_user
 
@@ -142,10 +164,25 @@ def import_scores(path: str, kind: str = "unified", n: int = 100,
 
 
 def save_scores(scores: dict[str, ScoreList], path: str) -> None:
+    """Write ``user<TAB>item<TAB>repr(score)`` rows, users in id order.
+
+    Each distinct score is formatted once per call. Only non-zero floats
+    are looked up, because equal keys can differ in ``repr``: 0.0 and -0.0,
+    or 1 and 1.0.
+    """
+    text: dict[float, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
         for uid in sorted(scores):
+            lines = []
             for item, s in scores[uid]:
-                fh.write(f"{uid}\t{item}\t{s!r}\n")
+                if s and type(s) is float:
+                    t = text.get(s)
+                    if t is None:
+                        t = text[s] = repr(s)
+                else:
+                    t = repr(s)
+                lines.append(f"{uid}\t{item}\t{t}\n")
+            fh.write("".join(lines))
 
 
 def missing_users(cands: CandidateSet, user_ids: list[str]) -> list[str]:
@@ -159,9 +196,7 @@ def score_repeat_topfreq(train: BasketDataset, reps: RepeatSets, n: int = 100
     """Personal purchase frequency: count(u,i) / #baskets(u) over repeat items."""
     out: dict[str, ScoreList] = {}
     for u in train.users:
-        counts: Counter[str] = Counter()
-        for b in u.baskets:
-            counts.update(b)
+        counts = Counter(chain.from_iterable(u.baskets))
         nb = len(u.baskets)
         pairs = [(i, counts[i] / nb) for i in reps.get(u.user_id, frozenset())]
         out[u.user_id] = rank_pairs(pairs, n)
@@ -173,17 +208,12 @@ def score_explore_popularity(train: BasketDataset, reps: RepeatSets, n: int = 10
     """Global popularity normalized by the max count, over unseen items only.
 
     The vocabulary is ranked once; each user's list is the first ``n``
-    items of that ranking outside the user's repeat set. The score is
-    strictly increasing in the count, so ranking by (-count, id) is the
-    (-score, id) order of ``rank_pairs``.
+    items of that ranking outside the user's repeat set.
     """
-    counts: Counter[str] = Counter()
-    for u in train.users:
-        for b in u.baskets:
-            counts.update(b)
+    counts = Counter(chain.from_iterable(
+        chain.from_iterable(u.baskets for u in train.users)))
     max_count = max(counts.values())
-    ranking = [(i, c / max_count)
-               for i, c in sorted(counts.items(), key=lambda p: (-p[1], p[0]))]
+    ranking = rank_pairs([(i, c / max_count) for i, c in counts.items()])
     out: dict[str, ScoreList] = {}
     for u in train.users:
         rep = reps.get(u.user_id, frozenset())
@@ -213,5 +243,6 @@ def make_unified(repeat_side: dict[str, ScoreList],
     for uid in sorted(set(repeat_side) | set(explore_side)):
         pairs = [(i, mix * s) for i, s in repeat_side.get(uid, [])]
         pairs += [(i, (1.0 - mix) * s) for i, s in explore_side.get(uid, [])]
-        unified[uid] = rank_pairs(pairs, n)
+        pairs.sort(key=_rank_key)  # two ranked runs: see _ranked_in_place
+        unified[uid] = pairs[:n]
     return CandidateSet(kind="unified", n=n, unified=unified)

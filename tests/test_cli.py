@@ -93,8 +93,11 @@ class TestRerank:
 
     def test_theta_inclusive_flag(self, tmp_path, capsys):
         out = tmp_path / "baskets.tsv"
-        code, stdout, _ = run(capsys, *rerank_args(out, "--theta-inclusive",
-                                                   "--dry-run"))
+        argv = rerank_args(out, "--theta-inclusive", "--dry-run")
+        at = argv.index("--scores")
+        argv[at:at + 2] = ["--repeat-scores", toy_path("scores_repeat.tsv"),
+                           "--explore-scores", toy_path("scores_explore.tsv")]
+        code, stdout, _ = run(capsys, *argv)
         assert code == 0
         assert json.loads(stdout)["resolved_config"]["theta_strict"] is False
 
@@ -263,11 +266,13 @@ class TestTune:
         sign = {"penalize_repeat": "penalize",
                 "reward_repeat": "reward"}[best["sign_mode"]]
         baskets = tmp_path / "baskets.tsv"
+        # unified scores read no theta, and reject the flag
+        theta = (["--theta", repr(best["theta"])]
+                 if "--repeat-scores" in scores else [])
         assert run(capsys, "rerank", "--mode", mode, "--k", "5", "--n", "15",
                    *data, *scores, "--epsilon", repr(best["epsilon"]),
                    "--alpha", repr(best["alpha"]), "--lambda", repr(best["lam"]),
-                   "--theta", repr(best["theta"]), "--sign", sign,
-                   "--out", str(baskets))[0] == 0
+                   *theta, "--sign", sign, "--out", str(baskets))[0] == 0
         report = tmp_path / "report.json"
         assert run(capsys, "evaluate", "--baskets", str(baskets), *data,
                    "--targets", validation, "--k", "5",
@@ -513,6 +518,32 @@ class TestBadInputExitCodes:
         got, _, err = run_process(*argv)
         assert got == 2 and "Traceback" not in err
         assert err.splitlines()[-1].startswith("data error: ")
+
+    @pytest.mark.parametrize("baskets", [5, [5, [1, 2]]],
+                             ids=["number", "number-basket"])
+    def test_ingest_malformed_baskets(self, tmp_path, baskets):
+        path = write_text(tmp_path / "b.jsonl", json.dumps(
+            {"user_id": "u1", "baskets": baskets}) + "\n")
+        got, _, err = run_process("ingest", "--baskets", path,
+                                  "--out", str(tmp_path / "out"))
+        assert got == 2 and "Traceback" not in err
+        assert err.splitlines() == [
+            "data error: " + path + ":1: malformed record "
+            "('int' object is not iterable)"]
+
+    @pytest.mark.parametrize("verb, flags", [
+        ("rerank", ["--theta", "0.3"]), ("rerank", ["--theta-inclusive"]),
+        ("tune", ["--theta-inclusive"])])
+    @pytest.mark.parametrize("dry_run", [[], ["--dry-run"]],
+                             ids=["run", "dry-run"])
+    def test_theta_flags_unified(self, tmp_path, verb, flags, dry_run):
+        # unified scores have no H(theta) split, so nothing reads these
+        argv = (rerank_args(tmp_path / "b.tsv") if verb == "rerank"
+                else TestTune().tune_args(tmp_path))
+        got, _, err = run_process(*argv, *flags, *dry_run)
+        assert got == 1 and "Traceback" not in err
+        assert err.splitlines() == [
+            f"usage error: {flags[0]} is not read with unified scores"]
 
     def test_score_n_zero(self, tmp_path):
         got, _, err = run_process("score", "--train", toy_path("train.jsonl"),

@@ -48,6 +48,22 @@ class TestLoadBaskets:
         with pytest.raises(DataError, match=":2:"):
             load_baskets(str(path))
 
+    @pytest.mark.parametrize("baskets", [5, [5, [1, 2]], None],
+                             ids=["number", "number-basket", "null"])
+    def test_malformed_baskets_report_lineno(self, tmp_path, baskets):
+        path = write_jsonl(tmp_path, [{"user_id": "u0", "baskets": [["a"]]},
+                                      {"user_id": "u1", "baskets": baskets}])
+        with pytest.raises(DataError, match=r"baskets\.jsonl:2: malformed record"):
+            load_baskets(path)
+
+    def test_dedup_after_str(self, tmp_path):
+        # item ids are strings, so 1 and "1" are one item
+        path = write_jsonl(tmp_path, [
+            {"user_id": "u1", "baskets": [[1, "1", 2], ["a", "a", "a"]]}])
+        ds = load_baskets(path)
+        assert ds.users[0].baskets == [frozenset({"1", "2"}), frozenset({"a"})]
+        assert ds.dedup_count == 3
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -221,6 +237,17 @@ class TestItemGroups:
         ds = make_ds({"u1": [items] * 5})
         groups = build_item_groups(ds, 0.2)
         assert groups.popular == set(items[:2])
+
+    def test_cut_inside_tied_counts(self):
+        # counts z:4, then b10, b9, b2 tied at 2, then a:1; the cut of
+        # ceil(0.5 * 5) = 3 falls inside the tie, which goes by id order
+        ds = make_ds({"u1": [["z", "b9"], ["z", "b2", "b10"], ["z", "b9"],
+                             ["z", "b2", "b10", "a"]]})
+        groups = build_item_groups(ds, 0.5)
+        assert groups.popular == {"z", "b10", "b2"}
+        assert groups.unpopular == {"b9", "a"}
+        assert groups.popularity_counts == {"z": 4, "b9": 2, "b2": 2,
+                                            "b10": 2, "a": 1}
 
     def test_partition(self):
         ds = make_ds({"u1": [["a", "b"], ["c", "d"], ["a"]]})

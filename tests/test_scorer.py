@@ -199,3 +199,57 @@ def test_rank_pairs_invariants():
     ranked = rank_pairs(pairs)
     assert ranked == sorted(ranked, key=lambda p: (-p[1], p[0]))
     assert rank_pairs(pairs, 2) == ranked[:2]
+
+
+def test_rank_pairs_signed_zero_ties():
+    # 0.0 and -0.0 are one score: their items go in id order, and each
+    # pair keeps its own sign
+    ranked = rank_pairs([("d", 0.0), ("b", -0.0), ("c", 0.0), ("a", -0.0),
+                         ("e", 0.5), ("f", -0.5)])
+    assert [(i, repr(s)) for i, s in ranked] == [
+        ("e", "0.5"), ("a", "-0.0"), ("b", "-0.0"), ("c", "0.0"),
+        ("d", "0.0"), ("f", "-0.5")]
+
+
+def test_make_unified_ties_after_mix():
+    # 0.2 * 0.4 == 0.8 * 0.1 and 0.2 * 0.8 == 0.8 * 0.2 in floats: tied
+    # only after the mix product, so the explore ids, smaller, come first
+    # although the repeat side is listed first
+    assert 0.2 * 0.4 == (1.0 - 0.2) * 0.1
+    cands = make_unified({"u": [("z", 0.8), ("y", 0.4)]},
+                         {"u": [("b", 0.2), ("a", 0.1)]}, mix=0.2)
+    assert [i for i, _ in cands.unified["u"]] == ["b", "z", "a", "y"]
+
+
+def test_save_scores_repr_per_row(tmp_path):
+    # users in id order, rows as given, every score its own repr: equal
+    # keys with different text (0.0 and -0.0, 1 and 1.0) stay apart
+    path = tmp_path / "out.tsv"
+    save_scores({"u2": [("x", 0.1), ("y", -0.0), ("z", 0.0), ("w", -0.0)],
+                 "u1": [("a", 1.0), ("b", 1), ("c", 1.0), ("d", 1 / 3),
+                        ("e", 0.0)]}, str(path))
+    assert path.read_text() == (
+        "u1\ta\t1.0\nu1\tb\t1\nu1\tc\t1.0\n"
+        f"u1\td\t{1 / 3!r}\nu1\te\t0.0\n"
+        "u2\tx\t0.1\nu2\ty\t-0.0\nu2\tz\t0.0\nu2\tw\t-0.0\n")
+
+
+_ids = st.text("abc01", min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(
+    _ids, st.dictionaries(_ids, st.floats(allow_nan=False, allow_infinity=False)
+                          | st.sampled_from([0.0, -0.0, 0.5, 0.25]),
+                          min_size=1, max_size=8),
+    min_size=1, max_size=4))
+def test_save_import_round_trip(tmp_path_factory, scores):
+    # scores go out in the caller's order and come back ranked, with
+    # every bit of every score (the sign of zero included)
+    path = tmp_path_factory.mktemp("scores") / "s.tsv"
+    save_scores({u: list(rows.items()) for u, rows in scores.items()}, str(path))
+    cands = import_scores(str(path), "unified", n=100)
+    assert {u: [(i, repr(s)) for i, s in rows]
+            for u, rows in cands.unified.items()} == \
+        {u: [(i, repr(s)) for i, s in rank_pairs(list(rows.items()))]
+         for u, rows in scores.items()}
