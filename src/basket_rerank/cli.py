@@ -2,10 +2,20 @@
 report.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver error.
+
+A verb allocates hundreds of thousands of acyclic objects (tuples, floats,
+frozensets), which reference counting frees, and every cyclic collection
+would walk them all. So ``main`` pauses the cyclic garbage collector for the
+length of the verb and restores the caller's setting on every exit path; it
+never enables a collector that was off. Code on a verb's path must therefore
+leave no reference cycle per user or per solve: with the collector paused,
+such garbage would pile up until the verb ends. Library calls leave the
+collector's state alone.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -159,7 +169,7 @@ def _add_metric_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--log-base", type=float, default=math.e)
 
 
-def _apply_config_file(argv: list[str], parser: _Parser) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Prepend key=value file entries as flags so the CLI overrides them."""
     pre = _Parser(add_help=False)
     pre.add_argument("--config")
@@ -233,8 +243,10 @@ def _write_baskets_tsv(baskets: RerankedBaskets, repeat_of, path: str) -> None:
 
 
 def read_baskets_tsv(path: str) -> dict[str, list[str]]:
-    out: dict[str, list[tuple[int, str]]] = {}
-    uid = rows = None
+    """Each user's items in rank order. A user's rows may not repeat a rank
+    or an item."""
+    out: dict[str, tuple[dict[int, str], set[str]]] = {}
+    uid = ranks = items = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
@@ -249,17 +261,28 @@ def read_baskets_tsv(path: str) -> dict[str, list[str]]:
                 raise DataError(f"{path}:{lineno}: bad rank {parts[1]!r}") from exc
             if row_uid != uid:
                 uid = row_uid
-                rows = out.get(uid)
-                if rows is None:
-                    rows = out[uid] = []
-            rows.append((position, item))
-    return {u: [item for _, item in sorted(rows)] for u, rows in out.items()}
+                ranks, items = out.setdefault(uid, ({}, set()))
+            if position in ranks:
+                raise DataError(f"{path}:{lineno}: user {uid!r} repeats "
+                                f"rank {position}")
+            if item in items:
+                raise DataError(f"{path}:{lineno}: user {uid!r} repeats "
+                                f"item {item!r}")
+            ranks[position] = item
+            items.add(item)
+    return {u: [ranks[r] for r in sorted(ranks)] for u, (ranks, _) in out.items()}
 
 
 def _cmd_ingest(args) -> int:
+    # the leave-last split holds one of each user's baskets out
+    for flag, value, least in (("--sample-users", args.sample_users, 1),
+                               ("--min-baskets", args.min_baskets, 2),
+                               ("--max-baskets", args.max_baskets, 2)):
+        if value is not None and value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     categories = load_categories(args.categories) if args.categories else {}
     ds = load_baskets(args.baskets, args.format, categories)
-    if args.sample_users:
+    if args.sample_users is not None:
         ds = sample_users(ds, args.sample_users, args.seed)
     ds = filter_min_activity(ds, args.min_baskets, args.min_item_purchases)
     ds = cap_history(ds, args.max_baskets)
@@ -294,6 +317,8 @@ def _cmd_score(args) -> int:
     import os
     if args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
+    if not 0.0 <= args.mix <= 1.0:  # also NaN
+        raise UsageError(f"--mix must be in [0,1], got {args.mix}")
     train = load_baskets(args.train, "jsonl")
     reps = build_repeat_sets(train)
     if args.dry_run:
@@ -383,11 +408,19 @@ def _cmd_rerank(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    cfg = RerankConfig(k=args.k, omega=args.omega,
+                       exposure=_exposure(args.exposure),
+                       log_base=args.log_base)
     categories = load_categories(args.categories) if args.categories else {}
     train = load_baskets(args.train, "jsonl", categories)
     reps = build_repeat_sets(train)
     groups = build_item_groups(train)
     lists = read_baskets_tsv(args.baskets)
+    # shorter is valid: a combined basket can fall short of K
+    for uid, basket in lists.items():
+        if len(basket) > args.k:
+            raise DataError(f"{args.baskets}: user {uid!r} has {len(basket)} "
+                            f"items, more than K={args.k}")
     targets = load_targets(args.targets, train)
     dropped = sorted(u for u in lists if u not in targets.eval_targets)
     if dropped:
@@ -395,9 +428,6 @@ def _cmd_evaluate(args) -> int:
               f"and are excluded (e.g. {dropped[:3]})", file=sys.stderr)
         lists = {u: b for u, b in lists.items()
                  if u in targets.eval_targets}
-    cfg = RerankConfig(k=args.k, omega=args.omega,
-                       exposure=_exposure(args.exposure),
-                       log_base=args.log_base)
     if args.dry_run:
         print(json.dumps({"n_users": len(lists),
                           "resolved_config": cfg.snapshot()}, indent=2))
@@ -525,27 +555,32 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one verb. Warnings it raises are printed once each, as
-    one-line ``warning:`` messages, also when the verb fails."""
+    """Run one verb, with cyclic garbage collection paused (see the module
+    docstring). Warnings it raises are printed once each, as one-line
+    ``warning:`` messages, also when the verb fails."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            argv = _apply_config_file(argv, parser)
-            args = parser.parse_args(argv)
-            code, error = _COMMANDS[args.verb](args), None
-        except UsageError as exc:
-            code, error = 1, f"usage error: {exc}"
-        except (DataError, OSError, UnicodeDecodeError) as exc:
-            code, error = 2, f"data error: {exc}"
-        except SolverError as exc:
-            code, error = 3, f"solver error: {exc}"
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"warning: {message}", file=sys.stderr)
-    if error:
-        print(error, file=sys.stderr)
-    return code
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                args = build_parser().parse_args(_apply_config_file(argv))
+                code, error = _COMMANDS[args.verb](args), None
+            except UsageError as exc:
+                code, error = 1, f"usage error: {exc}"
+            except (DataError, OSError, UnicodeDecodeError) as exc:
+                code, error = 2, f"data error: {exc}"
+            except SolverError as exc:
+                code, error = 3, f"solver error: {exc}"
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
+        if error:
+            print(error, file=sys.stderr)
+        return code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -74,8 +74,10 @@ class RerankConfig:
             raise UsageError(f"log base must be > 0 and != 1, got {self.log_base}")
         if min(self.epsilon, self.alpha, self.lam) < 0:
             raise UsageError("weights epsilon/alpha/lambda must be >= 0")
-        if not (0.0 <= self.omega <= 1.0):
-            raise UsageError(f"omega must be in [0,1], got {self.omega}")
+        for name in ("omega", "recall_tolerance"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise UsageError(f"{name} must be in [0,1], "
+                                 f"got {getattr(self, name)}")
         if self.objective_kind not in OBJECTIVE_KINDS:
             raise UsageError(f"unknown objective kind: {self.objective_kind!r}")
         if self.sign_mode not in (PENALIZE_REPEAT, REWARD_REPEAT):

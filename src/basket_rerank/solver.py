@@ -555,6 +555,9 @@ def solve_branch_and_bound(problem: RerankProblem) -> Selection:
         dfs(idx + 1, t, rem0, rem1, covered, acc)
 
     dfs(0, 0, quotas[0], quotas[1], 0, 0.0)
+    # dfs reaches itself through its closure; without the cycle, reference
+    # counting frees the search structures also when cyclic GC is paused
+    del dfs
     final_items = list(best_seq)
     obj = objective_value(problem, final_items)
     return Selection(problem.user_id, final_items, obj, "branch_and_bound",

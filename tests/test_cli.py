@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import random
@@ -355,6 +356,35 @@ class TestExitCodes:
         assert "Traceback" not in err and not out.exists()
 
 
+class TestInterpreterState:
+    """``main`` pauses cyclic collection for the verb only."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_gc_state_restored(self, tmp_path, capsys, monkeypatch, code,
+                               collecting):
+        seen = []
+
+        def solve(problems, **kwargs):
+            seen.append(gc.isenabled())
+            raise SolverError("user 'u000': no feasible selection")
+
+        monkeypatch.setattr(cli, "rerank_all", solve)
+        argv = {0: rerank_args(tmp_path / "b.tsv", "--dry-run"),
+                1: ["rerank", "--nope"],
+                2: rerank_args(tmp_path / "b.tsv", "--train", "/no/such.jsonl"),
+                3: rerank_args(tmp_path / "b.tsv")}[code]
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is collecting
+        assert seen == ([False] if code == 3 else [])
+
+
 class TestIngestScore:
     def test_ingest_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -560,6 +590,55 @@ class TestBadInputExitCodes:
         baskets = write_text(tmp_path / "b.tsv", "u000\t1\ti000\t0\n")
         got, _, err = run_process(*evaluate_args(baskets, "--k", "0"))
         assert got == 1 and "K must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("u000\t1\ti000\t0\nu000\t1\ti001\t0\n",
+         "2: user 'u000' repeats rank 1"),
+        ("u000\t1\ti000\t0\nu001\t1\ti000\t0\nu000\t2\ti000\t0\n",
+         "3: user 'u000' repeats item 'i000'"),
+    ], ids=["rank", "item"])
+    def test_evaluate_repeated_row(self, tmp_path, capsys, rows, message):
+        # the second user's rows come between the first user's
+        baskets = write_text(tmp_path / "b.tsv", rows)
+        code, _, err = run(capsys, *evaluate_args(baskets))
+        assert code == 2
+        assert err.splitlines() == [f"data error: {baskets}:{message}"]
+
+    def test_evaluate_basket_longer_than_k(self, capsys):
+        golden = toy_path("golden_radiv_e0.1_l0.1.tsv")
+        code, _, err = run(capsys, *evaluate_args(golden, "--k", "3"))
+        assert code == 2 and err.splitlines() == [
+            f"data error: {golden}: user 'u000' has 5 items, more than K=3"]
+
+    @pytest.mark.parametrize("flag, value, least", [
+        ("--sample-users", "-3", 1), ("--sample-users", "0", 1),
+        ("--max-baskets", "0", 2), ("--max-baskets", "-1", 2),
+        ("--min-baskets", "1", 2)])
+    def test_ingest_numbers(self, tmp_path, capsys, flag, value, least):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "ingest", "--baskets",
+                           toy_path("baskets.jsonl"), flag, value,
+                           "--out", str(out))
+        assert code == 1 and not out.exists()
+        assert err.splitlines() == [
+            f"usage error: {flag} must be at least {least}, got {value}"]
+
+    @pytest.mark.parametrize("mix", ["2", "-0.5", "nan"])
+    def test_score_mix_out_of_range(self, tmp_path, capsys, mix):
+        code, _, err = run(capsys, "score", "--train", toy_path("train.jsonl"),
+                           "--mix", mix, "--out", str(tmp_path / "out"))
+        assert code == 1 and not (tmp_path / "out").exists()
+        assert err.splitlines() == [
+            f"usage error: --mix must be in [0,1], got {float(mix)}"]
+
+    @pytest.mark.parametrize("tolerance", ["5", "-0.1"])
+    def test_tune_recall_tolerance_out_of_range(self, tmp_path, capsys,
+                                                tolerance):
+        argv = TestTune().tune_args(tmp_path, "--recall-tolerance", tolerance)
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.splitlines() == [
+            f"usage error: recall_tolerance must be in [0,1], "
+            f"got {float(tolerance)}"]
 
     @pytest.mark.parametrize("text, message", [
         ('{"recall": 1}', "lacks 'ds'"),

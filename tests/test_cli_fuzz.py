@@ -16,6 +16,9 @@ NUMBERS = ["0", "-1", "1", "5", "nan", "inf", "-inf", "1e309", "x", ""]
 
 # verb -> (its numeric flags, its input files); every verb also reads --config
 VERBS = {
+    "ingest": (["--min-baskets", "--min-item-purchases", "--max-baskets",
+                "--sample-users", "--seed"],
+               ["raw_baskets", "categories", "config"]),
     "rerank": (["--k", "--n", "--epsilon", "--alpha", "--lambda", "--theta"],
                ["train", "categories", "scores", "targets", "config"]),
     "evaluate": (["--k", "--omega", "--log-base"],
@@ -40,7 +43,8 @@ CONTENT = st.one_of(
 def inputs(tmp_path_factory):
     """Valid toy inputs, plus reranked baskets and a report made from them."""
     d = tmp_path_factory.mktemp("fuzz")
-    paths = {"train": toy_path("train.jsonl"),
+    paths = {"raw_baskets": toy_path("baskets.jsonl"),
+             "train": toy_path("train.jsonl"),
              "categories": toy_path("categories.tsv"),
              "scores": toy_path("scores_unified.tsv"),
              "val_targets": toy_path("targets_validation.jsonl"),
@@ -63,6 +67,9 @@ def inputs(tmp_path_factory):
 def _argv(verb, paths, out):
     train, scores = paths["train"], paths["scores"]
     cats, targets = paths["categories"], paths["targets"]
+    if verb == "ingest":
+        return ["ingest", "--baskets", paths["raw_baskets"],
+                "--categories", cats, "--out", out]
     if verb == "rerank":
         return ["rerank", "--mode", "radiv", "--k", "5", "--n", "15",
                 "--train", train, "--categories", cats, "--scores", scores,

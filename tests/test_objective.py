@@ -60,6 +60,7 @@ class TestRerankConfig:
         dict(k=0), dict(k=-1), dict(epsilon=math.nan), dict(alpha=math.inf),
         dict(lam=math.inf), dict(lam=-math.inf), dict(theta=math.nan),
         dict(omega=math.nan), dict(recall_tolerance=math.inf),
+        dict(recall_tolerance=1.5), dict(recall_tolerance=-0.1),
         dict(log_base=math.nan), dict(log_base=1.0), dict(log_base=0.0),
     ])
     def test_bad_number_rejected(self, bad):

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import itertools
 import math
@@ -587,6 +588,27 @@ def test_exposure_dp_rejects_out_of_scope_problems():
     with pytest.raises(UsageError, match="exposure DP"):
         solve_exposure_dp(small_problem("raif", alpha=1.0,
                                         exposure=ExposureModel("uniform")))
+
+
+def test_solves_leave_no_cyclic_garbage():
+    # the CLI pauses cyclic collection for a verb, so every solve must free
+    # its search structures by reference counting alone
+    problems = [random_combined_instance(seed, n_repeat=6, n_explore=6, k=4)[0]
+                for seed in range(5)]
+    problems += [one_pool_exposure_problem(seed, "unified", "raif")
+                 for seed in range(3)]
+    problems.append(small_problem(epsilon=0.2))
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for p in problems:
+            solve(p)
+            solve_branch_and_bound(p)
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_toy_golden_is_oracle_output(tmp_path):
