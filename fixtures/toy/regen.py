@@ -1,6 +1,7 @@
 """Regenerate the committed toy fixture (12 users, 30 items, 5 categories).
 
-Run from the repo root:  python3 fixtures/toy/regen.py
+Run from the repo root:  PYTHONPATH=src:. python3 fixtures/toy/regen.py
+(the dataset generator lives with the tests, in ``tests/synth.py``).
 The golden rerank output is produced by the brute-force oracle.
 """
 import os
@@ -14,7 +15,7 @@ from basket_rerank.scorer import (import_scores, make_unified, save_scores,
                                   score_explore_popularity,
                                   score_repeat_topfreq)
 from basket_rerank.solver import solve_bruteforce
-from basket_rerank.synth import make_toy_fixture
+from tests.synth import make_synthetic_dataset
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SEED = 7
@@ -44,7 +45,8 @@ def write_golden(out_path: str) -> None:
 
 
 def main() -> None:
-    ds = make_toy_fixture()
+    ds = make_synthetic_dataset(n_users=12, n_items=30, n_categories=5,
+                                seed=42)
     save_baskets(ds, os.path.join(HERE, "baskets.jsonl"))
     save_categories(ds.categories, os.path.join(HERE, "categories.tsv"))
 

@@ -1,7 +1,8 @@
 """Command-line pipeline: ingest -> score -> rerank -> evaluate -> tune ->
 report.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 solver error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 solver error. The
+CLI and the library warn through ``warnings``; only ``main`` prints them.
 
 A verb allocates hundreds of thousands of acyclic objects (tuples, floats,
 frozensets), which reference counting frees, and every cyclic collection
@@ -242,15 +243,18 @@ def _write_baskets_tsv(baskets: RerankedBaskets, repeat_of, path: str) -> None:
                 fh.write(f"{uid}\t{rank}\t{item}\t{flag}\n")
 
 
+_FLAGS = frozenset({"0", "1", "0\n", "1\n"})  # the last row may lack "\n"
+
+
 def read_baskets_tsv(path: str) -> dict[str, list[str]]:
-    """Each user's items in rank order. A user's rows may not repeat a rank
-    or an item."""
+    """Each user's items in rank order. Ranks start at 1, the repeat flag is
+    0 or 1, and a user's rows may not repeat a rank or an item."""
     out: dict[str, tuple[dict[int, str], set[str]]] = {}
     uid = ranks = items = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
-                row_uid, rank, item, _flag = line.split("\t")
+                row_uid, rank, item, flag = line.split("\t")
                 position = int(rank)
             except ValueError as exc:
                 parts = line.rstrip("\n").split("\t")
@@ -259,6 +263,13 @@ def read_baskets_tsv(path: str) -> dict[str, list[str]]:
                 if len(parts) != 4:
                     raise DataError(f"{path}:{lineno}: expected 4 fields") from None
                 raise DataError(f"{path}:{lineno}: bad rank {parts[1]!r}") from exc
+            if position < 1:
+                raise DataError(f"{path}:{lineno}: rank must be at least 1, "
+                                f"got {position}")
+            if flag not in _FLAGS:
+                flag = flag.rstrip("\n")
+                raise DataError(f"{path}:{lineno}: repeat flag must be 0 or 1, "
+                                f"got {flag!r}")
             if row_uid != uid:
                 uid = row_uid
                 ranks, items = out.setdefault(uid, ({}, set()))
@@ -347,8 +358,8 @@ def _load_common(args):
     cands = _load_candidates(args)
     absent = missing_users(cands, train.user_ids)
     if absent:
-        print(f"warning: {len(absent)} train users missing from scores "
-              f"(e.g. {absent[:3]})", file=sys.stderr)
+        warnings.warn(f"{len(absent)} train users missing from scores "
+                      f"(e.g. {absent[:3]})")
     return train, categories, reps, groups, cands
 
 
@@ -373,18 +384,13 @@ def _cmd_rerank(args) -> int:
         print(json.dumps({"resolved_config": cfg.snapshot(),
                           "n_users": len(cands.user_ids)}, indent=2))
         return 0
-    problems, skipped = build_problems(cands, reps, groups, categories, cfg,
-                                       skip_errors=args.skip_errors)
-    for msg in skipped:
-        print(f"warning: {msg}", file=sys.stderr)
+    problems = build_problems(cands, reps, groups, categories, cfg,
+                              skip_errors=args.skip_errors)
     if args.dump_problems:
         with open(args.dump_problems, "w", encoding="utf-8") as fh:
             for problem in problems:
                 fh.write(problem.to_json() + "\n")
     baskets = rerank_all(problems, skip_errors=args.skip_errors)
-    for msg in baskets.warnings:
-        print(f"warning: {msg}", file=sys.stderr)
-
     if cands.kind == "combined":
         pools = {u: {i for i, _ in rows}
                  for u, rows in cands.repeat_list.items()}
@@ -424,8 +430,8 @@ def _cmd_evaluate(args) -> int:
     targets = load_targets(args.targets, train)
     dropped = sorted(u for u in lists if u not in targets.eval_targets)
     if dropped:
-        print(f"warning: {len(dropped)} users have no target in this split "
-              f"and are excluded (e.g. {dropped[:3]})", file=sys.stderr)
+        warnings.warn(f"{len(dropped)} users have no target in this split "
+                      f"and are excluded (e.g. {dropped[:3]})")
         lists = {u: b for u, b in lists.items()
                  if u in targets.eval_targets}
     if args.dry_run:
@@ -556,8 +562,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Run one verb, with cyclic garbage collection paused (see the module
-    docstring). Warnings it raises are printed once each, as one-line
-    ``warning:`` messages, also when the verb fails."""
+    docstring). Warnings it raises are printed once each, in order, as
+    one-line ``warning:`` messages before any error line."""
     argv = list(sys.argv[1:] if argv is None else argv)
     collecting = gc.isenabled()
     gc.disable()

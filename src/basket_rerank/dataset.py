@@ -109,22 +109,29 @@ def _load_jsonl(path: str) -> tuple[list[UserHistory], int]:
             try:
                 rec = json.loads(line)
                 uid = str(rec["user_id"])
-                raw_baskets = rec["baskets"]
+                raw_baskets = [_json_array(b)
+                               for b in _json_array(rec["baskets"])]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed record ({exc})") from exc
             if uid in seen:
                 raise DataError(f"{path}:{lineno}: duplicate user {uid!r}")
             seen.add(uid)
-            try:
-                if not all(raw_baskets):
-                    raise DataError(
-                        f"{path}:{lineno}: empty basket for user {uid!r}")
-                baskets = [frozenset(map(str, b)) for b in raw_baskets]
-                dedup += sum(map(len, raw_baskets)) - sum(map(len, baskets))
-            except TypeError as exc:  # "baskets" or one basket is no list
-                raise DataError(f"{path}:{lineno}: malformed record ({exc})") from exc
+            if not all(raw_baskets):
+                raise DataError(f"{path}:{lineno}: empty basket for user {uid!r}")
+            baskets = [frozenset(map(str, b)) for b in raw_baskets]
+            dedup += sum(map(len, raw_baskets)) - sum(map(len, baskets))
             users.append(UserHistory(uid, baskets))
     return users, dedup
+
+
+def _json_array(value) -> list:
+    """``value`` if it is a JSON array, else TypeError. A string or an
+    object would iterate into characters or keys; a number, a bool or null
+    fails the way iterating it does."""
+    if type(value) is not list:
+        iter(value)  # "'int' object is not iterable"
+        raise TypeError(f"{type(value).__name__!r} object is not a JSON array")
+    return value
 
 
 def _load_csv(path: str) -> tuple[list[UserHistory], int]:
@@ -291,7 +298,7 @@ def load_targets(path: str, train: BasketDataset) -> SplitDataset:
             try:
                 rec = json.loads(line)
                 uid = str(rec["user_id"])
-                basket = frozenset(map(str, rec["basket"]))
+                basket = frozenset(map(str, _json_array(rec["basket"])))
                 label = rec.get("split", label)
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: malformed target ({exc})") from exc

@@ -5,12 +5,14 @@ RerankProblem per user. A problem carries everything the solver needs:
 relevance, repeat flags, category labels, group-exposure coefficients, the
 effective term weights for the chosen objective kind, and slot constraints
 (a single K-slot budget for unified inputs, or a repeat/explore slot pair
-derived from the score threshold for combined inputs).
+derived from the score threshold for combined inputs). A user that
+``build_problems`` leaves out is reported through ``warnings.warn``.
 """
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 from .dataset import ItemGroups, RepeatSets, SplitDataset
@@ -36,12 +38,14 @@ class ExposureModel:
 
     kind: str = "log_discount"  # or "uniform"
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("uniform", "log_discount"):
+            raise UsageError(f"unknown exposure kind: {self.kind!r}")
+
     def weight(self, position: int) -> float:
         if self.kind == "uniform":
             return 1.0
-        if self.kind == "log_discount":
-            return 1.0 / math.log2(position + 1)
-        raise UsageError(f"unknown exposure kind: {self.kind!r}")
+        return 1.0 / math.log2(position + 1)
 
     def weights(self, k: int) -> list[float]:
         return [self.weight(p) for p in range(1, k + 1)]
@@ -257,11 +261,10 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
 def build_problems(cands: CandidateSet, reps: RepeatSets, groups: ItemGroups,
                    categories: dict[str, str], cfg: RerankConfig,
                    split: SplitDataset | None = None, skip_errors: bool = False
-                   ) -> tuple[list[RerankProblem], list[str]]:
+                   ) -> list[RerankProblem]:
     """Each candidate user's problem (only users with a target in ``split``,
-    if given), in user-id order, and the errors of users left out: a user
-    whose problem cannot be built raises, or with ``skip_errors`` is left
-    out."""
+    if given), in user-id order. A user whose problem cannot be built
+    raises, or with ``skip_errors`` is left out with a warning."""
     users = cands.user_ids
     if split is not None:
         users = [u for u in users if u in split.eval_targets]
@@ -269,15 +272,15 @@ def build_problems(cands: CandidateSet, reps: RepeatSets, groups: ItemGroups,
             raise DataError("no overlap between candidate users and the split")
     builder = (build_unified_problem if cands.kind == "unified"
                else build_combined_problem)
-    problems, skipped = [], []
+    problems = []
     for uid in users:
         try:
             problems.append(builder(uid, cands, reps, groups, categories, cfg))
         except DataError as exc:
             if not skip_errors:
                 raise
-            skipped.append(str(exc))
-    return problems, skipped
+            warnings.warn(str(exc))
+    return problems
 
 
 def reweighted(problems: list[RerankProblem], cands: CandidateSet,

@@ -36,7 +36,8 @@ selection. It is the testing oracle, kept independent of the paths above
 
 One tie rule holds in all four (``_better``): a selection wins when its
 objective is higher by more than ``_TIE_TOL``; otherwise the
-lexicographically smaller position-ordered item-id sequence wins.
+lexicographically smaller position-ordered item-id sequence wins. A user
+that ``rerank_all`` leaves out is reported through ``warnings.warn``.
 """
 from __future__ import annotations
 
@@ -44,7 +45,8 @@ import bisect
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 from .errors import SolverError, UsageError
 from .objective import (RerankProblem, check_slots, indexed_objective_value,
@@ -71,7 +73,6 @@ class Selection:
 @dataclass
 class RerankedBaskets:
     baskets: dict[str, Selection]
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def total_objective(self) -> float:
@@ -619,7 +620,6 @@ def rerank_all(problems: list[RerankProblem], skip_errors: bool = False
     raises SolverError naming the user, or with ``skip_errors`` becomes a
     warning and the user is left out."""
     baskets: dict[str, Selection] = {}
-    warnings: list[str] = []
     for problem in sorted(problems, key=lambda p: p.user_id):
         try:
             baskets[problem.user_id] = solve(problem)
@@ -627,5 +627,5 @@ def rerank_all(problems: list[RerankProblem], skip_errors: bool = False
             msg = f"user {problem.user_id!r}: {exc}"
             if not skip_errors:
                 raise SolverError(msg) from exc
-            warnings.append(msg)
-    return RerankedBaskets(baskets, warnings=warnings)
+            warnings.warn(msg)
+    return RerankedBaskets(baskets)

@@ -87,7 +87,7 @@ def rerank_and_evaluate(cands: CandidateSet, split: SplitDataset,
                         reps: RepeatSets, groups: ItemGroups,
                         categories: dict[str, str], cfg: RerankConfig,
                         rep_ratio_gt: float) -> MetricsReport:
-    problems, _ = build_problems(cands, reps, groups, categories, cfg, split)
+    problems = build_problems(cands, reps, groups, categories, cfg, split)
     return evaluate(rerank_all(problems), split, reps, groups, categories, cfg,
                     rep_ratio_gt=rep_ratio_gt)
 
@@ -148,8 +148,8 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
             lam=lam, theta=theta, sign_mode=sign_mode, objective_kind=kind)
 
     baseline_cfg = point_cfg(0.0, 0.0, base_theta, "relevance_only")
-    problems, _ = build_problems(cands, reps, groups, categories,
-                                 baseline_cfg, split)
+    problems = build_problems(cands, reps, groups, categories, baseline_cfg,
+                              split)
 
     # user id -> problem key and selection at the previous point
     keys: dict[str, tuple] = {}

@@ -5,12 +5,17 @@ from __future__ import annotations
 import math
 import random
 
-from .dataset import (BasketDataset, ItemGroups, RepeatSets, UserHistory,
-                      build_item_groups, build_repeat_sets)
-from .objective import (ExposureModel, RerankConfig, build_combined_problem,
-                        build_unified_problem, OBJECTIVE_KINDS,
-                        PENALIZE_REPEAT, REWARD_REPEAT, RerankProblem)
-from .scorer import CandidateSet, rank_pairs
+from basket_rerank.dataset import (BasketDataset, ItemGroups, RepeatSets,
+                                   UserHistory, build_item_groups,
+                                   build_repeat_sets, split_leave_last)
+from basket_rerank.objective import (ExposureModel, RerankConfig,
+                                     build_combined_problem,
+                                     build_unified_problem, OBJECTIVE_KINDS,
+                                     PENALIZE_REPEAT, REWARD_REPEAT,
+                                     RerankProblem)
+from basket_rerank.scorer import (CandidateSet, make_unified, rank_pairs,
+                                  score_explore_popularity,
+                                  score_repeat_topfreq)
 
 
 def make_synthetic_dataset(n_users: int = 12, n_items: int = 30,
@@ -39,12 +44,6 @@ def make_synthetic_dataset(n_users: int = 12, n_items: int = 30,
             baskets.append(frozenset(basket))
         users.append(UserHistory(f"u{uidx:03d}", baskets))
     return BasketDataset(users=users, categories=categories)
-
-
-def make_toy_fixture() -> BasketDataset:
-    """The bundled 12-user / 30-item / 5-category fixture."""
-    return make_synthetic_dataset(n_users=12, n_items=30, n_categories=5,
-                                  seed=42)
 
 
 def _random_groups(rng: random.Random, items: list[str]) -> ItemGroups:
@@ -125,9 +124,6 @@ def pipeline_from_dataset(ds: BasketDataset, seed: int = 0, n: int = 100,
                           mix: float = 0.5):
     """Split a dataset and derive everything the engine needs, using the
     built-in scorers. Returns (train, validation, test, reps, groups, cands)."""
-    from .dataset import split_leave_last
-    from .scorer import make_unified, score_explore_popularity, score_repeat_topfreq
-
     train, validation, test = split_leave_last(ds, seed)
     reps = build_repeat_sets(train)
     groups = build_item_groups(train)

@@ -22,11 +22,10 @@ from basket_rerank.scorer import (CandidateSet, make_unified, rank_pairs,
                                   score_repeat_topfreq)
 from basket_rerank.solver import (rerank_all, solve, solve_branch_and_bound,
                                   solve_bruteforce)
-from basket_rerank.synth import (make_synthetic_dataset,
-                                 random_combined_instance,
-                                 random_unified_instance)
 from basket_rerank.tuner import GridSpec, rerank_and_evaluate, run_grid, write_sweep_csv
 from tests.conftest import TOY_K, TOY_N
+from tests.synth import (make_synthetic_dataset, random_combined_instance,
+                         random_unified_instance)
 
 
 def _report(num: int, desc: str, check) -> None:

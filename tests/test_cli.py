@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from basket_rerank import cli
+from basket_rerank import solver as solver_module
 from basket_rerank.cli import main, read_baskets_tsv
 from basket_rerank.errors import SolverError
 from tests.conftest import toy_path
@@ -24,6 +25,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def truncated_scores(tmp_path, limit):
+    """The toy unified scores with each user in ``limit`` cut to that many
+    rows."""
+    counts, kept = Counter(), []
+    for line in open(toy_path("scores_unified.tsv")):
+        uid = line.split("\t")[0]
+        counts[uid] += 1
+        if counts[uid] <= limit.get(uid, counts[uid]):
+            kept.append(line)
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("".join(kept))
+    return str(scores)
 
 
 def rerank_args(out, *extra, mode="radiv"):
@@ -105,18 +120,10 @@ class TestRerank:
     def test_skip_errors(self, tmp_path, capsys):
         # two users short of K candidates: an error, or with --skip-errors
         # one warning each, in user-id order, and the others' baskets
-        limit = {"u003": 3, "u007": 2}
-        counts, kept = Counter(), []
-        for line in open(toy_path("scores_unified.tsv")):
-            uid = line.split("\t")[0]
-            counts[uid] += 1
-            if counts[uid] <= limit.get(uid, counts[uid]):
-                kept.append(line)
-        scores = tmp_path / "scores.tsv"
-        scores.write_text("".join(kept))
         out = tmp_path / "baskets.tsv"
         argv = rerank_args(out, "--epsilon", "0.1")
-        argv[argv.index("--scores") + 1] = str(scores)
+        argv[argv.index("--scores") + 1] = truncated_scores(
+            tmp_path, {"u003": 3, "u007": 2})
         code, _, err = run(capsys, *argv)
         assert code == 2 and err.splitlines() == [
             "data error: user 'u003': insufficient candidates (3 < K=5)"]
@@ -549,17 +556,39 @@ class TestBadInputExitCodes:
         assert got == 2 and "Traceback" not in err
         assert err.splitlines()[-1].startswith("data error: ")
 
-    @pytest.mark.parametrize("baskets", [5, [5, [1, 2]]],
-                             ids=["number", "number-basket"])
-    def test_ingest_malformed_baskets(self, tmp_path, baskets):
+    @pytest.mark.parametrize("baskets, error", [
+        (5, "'int' object is not iterable"),
+        ([5, [1, 2]], "'int' object is not iterable"),
+        ("xyz", "'str' object is not a JSON array"),
+        (["abc"], "'str' object is not a JSON array"),
+        ([{"a": 1}], "'dict' object is not a JSON array")],
+        ids=["number", "number-basket", "string", "string-basket",
+             "object-basket"])
+    def test_ingest_malformed_baskets(self, tmp_path, baskets, error):
         path = write_text(tmp_path / "b.jsonl", json.dumps(
             {"user_id": "u1", "baskets": baskets}) + "\n")
         got, _, err = run_process("ingest", "--baskets", path,
                                   "--out", str(tmp_path / "out"))
         assert got == 2 and "Traceback" not in err
         assert err.splitlines() == [
-            "data error: " + path + ":1: malformed record "
-            "('int' object is not iterable)"]
+            "data error: " + path + f":1: malformed record ({error})"]
+
+    @pytest.mark.parametrize("flag, record, kind", [
+        ("--train", {"user_id": "u000", "baskets": [["i000"], "ab"]},
+         "record"),
+        ("--targets", {"user_id": "u000", "basket": "ab", "split": "test"},
+         "target")])
+    def test_evaluate_string_baskets(self, tmp_path, capsys, flag, record,
+                                     kind):
+        # a string is a list of characters to Python, not a basket
+        baskets = write_text(tmp_path / "b.tsv", "u000\t1\ti000\t0\n")
+        path = write_text(tmp_path / "in.jsonl", json.dumps(record) + "\n")
+        argv = evaluate_args(baskets)
+        argv[argv.index(flag) + 1] = path
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.splitlines() == [
+            f"data error: {path}:1: malformed {kind} "
+            "('str' object is not a JSON array)"]
 
     @pytest.mark.parametrize("verb, flags", [
         ("rerank", ["--theta", "0.3"]), ("rerank", ["--theta-inclusive"]),
@@ -585,6 +614,20 @@ class TestBadInputExitCodes:
                                                  "u000\tsecond\ti001\t0\n")
         got, _, err = run_process(*evaluate_args(baskets))
         assert got == 2 and "b.tsv:2: bad rank" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("row, message", [
+        ("u000\t0\ti000\tzzz\n", "rank must be at least 1, got 0"),
+        ("u000\t-7\ti001\t\n", "rank must be at least 1, got -7"),
+        ("u000\t2\ti001\tzzz\n", "repeat flag must be 0 or 1, got 'zzz'"),
+        ("u000\t2\ti001\t\n", "repeat flag must be 0 or 1, got ''"),
+        ("u000\t2\ti001\t2", "repeat flag must be 0 or 1, got '2'")],
+        ids=["rank-zero", "rank-negative", "flag-word", "flag-empty",
+             "flag-last-line"])
+    def test_evaluate_bad_rank_or_flag(self, tmp_path, capsys, row, message):
+        baskets = write_text(tmp_path / "b.tsv", "u000\t1\ti000\t0\n" + row)
+        code, _, err = run(capsys, *evaluate_args(baskets))
+        assert code == 2
+        assert err.splitlines() == [f"data error: {baskets}:2: {message}"]
 
     def test_evaluate_k_zero(self, tmp_path):
         baskets = write_text(tmp_path / "b.tsv", "u000\t1\ti000\t0\n")
@@ -743,6 +786,45 @@ def test_empty_target_basket_warns_once(tmp_path, verb):
     assert err.count(message) == 1
     assert "UserWarning" not in err and "Traceback" not in err
     assert "metrics.py" not in err
+
+
+def test_warnings_printed_once_in_order(tmp_path, capsys, monkeypatch):
+    # Every warning reaches stderr through main: from the CLI itself, from
+    # build_problems, from rerank_all and from recall_at_k. Each is printed
+    # once, in the order raised, and before the error line of a failed verb.
+    solve = solver_module.solve
+
+    def fail_u005(problem):
+        if problem.user_id == "u005":
+            raise SolverError("no feasible selection")
+        return solve(problem)
+
+    monkeypatch.setattr(solver_module, "solve", fail_u005)
+    out = tmp_path / "baskets.tsv"
+    argv = rerank_args(out, "--epsilon", "0.1", "--skip-errors")
+    argv[argv.index("--scores") + 1] = truncated_scores(
+        tmp_path, {"u003": 3, "u007": 2, "u010": 0})
+    code, _, err = run(capsys, *argv)
+    assert code == 0 and err.splitlines() == [
+        "warning: 1 train users missing from scores (e.g. ['u010'])",
+        "warning: user 'u003': insufficient candidates (3 < K=5)",
+        "warning: user 'u007': insufficient candidates (2 < K=5)",
+        "warning: user 'u005': no feasible selection"]
+
+    rows = [json.loads(line) for line in open(toy_path("targets_test.jsonl"))]
+    assert rows[1]["user_id"] == "u001"
+    rows[1]["basket"] = []
+    targets = write_text(tmp_path / "t.jsonl",
+                         "".join(json.dumps(row) + "\n" for row in rows))
+    argv = evaluate_args(str(out), "--out", str(tmp_path))
+    argv[argv.index(toy_path("targets_test.jsonl"))] = targets
+    code, _, err = run(capsys, *argv)
+    lines = err.splitlines()
+    assert code == 2 and lines[:2] == [
+        "warning: 3 users have no target in this split and are excluded "
+        "(e.g. ['u004', 'u008', 'u011'])",
+        "warning: user 'u001': empty target basket, excluded from Recall"]
+    assert len(lines) == 3 and lines[2].startswith("data error: ")
 
 
 def test_readme_commands_parse():

@@ -48,8 +48,11 @@ class TestLoadBaskets:
         with pytest.raises(DataError, match=":2:"):
             load_baskets(str(path))
 
-    @pytest.mark.parametrize("baskets", [5, [5, [1, 2]], None],
-                             ids=["number", "number-basket", "null"])
+    # a string or an object iterates too, into characters or keys
+    @pytest.mark.parametrize("baskets", [5, [5, [1, 2]], None, "xyz", ["abc"],
+                                         {"a": 1}, [{"a": 1}]],
+                             ids=["number", "number-basket", "null", "string",
+                                  "string-basket", "object", "object-basket"])
     def test_malformed_baskets_report_lineno(self, tmp_path, baskets):
         path = write_jsonl(tmp_path, [{"user_id": "u0", "baskets": [["a"]]},
                                       {"user_id": "u1", "baskets": baskets}])

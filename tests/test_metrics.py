@@ -8,8 +8,8 @@ from basket_rerank.metrics import (composite_metrics, diversity_score,
                                    evaluate, group_exposure, log_dp,
                                    recall_at_k, repeat_metrics, report_table)
 from basket_rerank.objective import ExposureModel, RerankConfig
-from basket_rerank.synth import make_synthetic_dataset, pipeline_from_dataset
 from basket_rerank.tuner import rerank_and_evaluate
+from tests.synth import make_synthetic_dataset, pipeline_from_dataset
 from tests.test_dataset import make_ds
 
 

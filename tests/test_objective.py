@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from basket_rerank.dataset import ItemGroups
 from basket_rerank.errors import DataError, UsageError
 from basket_rerank.objective import (ExposureModel, RerankConfig,
-                                     build_combined_problem,
+                                     build_combined_problem, build_problems,
                                      build_unified_problem, choose_sign_mode,
                                      compute_h_theta, objective_value,
                                      original_topk)
@@ -45,6 +45,11 @@ class TestExposureModel:
             w = ExposureModel(kind).weights(20)
             assert all(a >= b for a, b in zip(w, w[1:]))
             assert all(x > 0 for x in w)
+
+    @pytest.mark.parametrize("kind", ["bogus", "log-discount", ""])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(UsageError, match="unknown exposure kind"):
+            ExposureModel(kind)
 
 
 class TestRerankConfig:
@@ -188,6 +193,23 @@ class TestBuildUnifiedProblem:
         with pytest.raises(DataError, match="insufficient"):
             build_unified_problem("u", unified_cands({"a": 0.9}), {},
                                   groups_for("a", "a"), {}, cfg)
+
+    def test_build_problems_skip_errors_warns(self):
+        # users short of K candidates: the first one raises, or with
+        # skip_errors each is left out with one warning, in user-id order
+        rows = [("a", 0.9), ("b", 0.5)]
+        cands = CandidateSet(kind="unified", n=2, unified={
+            "u2": rows[:1], "u0": rows, "u1": rows[:1]})
+        cfg = RerankConfig(k=2, n=2)
+        args = (cands, {}, groups_for("ab", "a"), {}, cfg)
+        with pytest.raises(DataError, match="'u1'"):
+            build_problems(*args)
+        with pytest.warns(UserWarning) as caught:
+            problems = build_problems(*args, skip_errors=True)
+        assert [p.user_id for p in problems] == ["u0"]
+        assert [str(w.message) for w in caught] == [
+            f"user {uid!r}: insufficient candidates (1 < K=2)"
+            for uid in ("u1", "u2")]
 
     def test_candidates_sorted(self):
         scores = {"b": 0.5, "a": 0.5, "c": 0.9}

@@ -15,9 +15,8 @@ from basket_rerank.scorer import CandidateSet
 from basket_rerank.solver import (rerank_all, solve, solve_branch_and_bound,
                                   solve_bruteforce, solve_exposure_dp,
                                   solve_topk_linear)
-from basket_rerank.synth import (random_combined_instance,
-                                 random_unified_instance)
 from tests.conftest import toy_path
+from tests.synth import random_combined_instance, random_unified_instance
 from tests.test_objective import combined_cands, groups_for, unified_cands
 
 
@@ -240,11 +239,17 @@ class TestRerankAll:
             rerank_all(problems)
 
     def test_skip_errors_downgrades(self):
-        problems = self.make_problems(2)
-        problems[1].explore_slots = 99
-        out = rerank_all(problems, skip_errors=True)
+        # one warning per failed user, in user-id order whatever the input
+        # order
+        problems = self.make_problems(3)
+        for p in problems[1:]:
+            p.explore_slots = 99
+        with pytest.warns(UserWarning) as caught:
+            out = rerank_all(problems[::-1], skip_errors=True)
         assert set(out.baskets) == {"u0"}
-        assert any("u1" in w for w in out.warnings)
+        assert [str(w.message) for w in caught] == [
+            f"user {uid!r}: user {uid!r}: pool 0 has 8 candidates for 102 "
+            "slots" for uid in ("u1", "u2")]
 
 
 def test_auto_engine_dispatch():
