@@ -20,8 +20,6 @@ from itertools import chain
 
 from .errors import DataError
 
-UNK_CATEGORY = "UNK"
-
 
 @dataclass
 class UserHistory:
@@ -51,9 +49,6 @@ class BasketDataset:
             if u.user_id == user_id:
                 return u
         raise KeyError(user_id)
-
-    def category_of(self, item: str) -> str:
-        return self.categories.get(item, UNK_CATEGORY)
 
     def n_baskets(self) -> int:
         return sum(len(u.baskets) for u in self.users)

@@ -364,15 +364,18 @@ def indexed_objective_value(problem: RerankProblem, chosen: list[int]) -> float:
     basket-position order, in O(len(chosen)). The caller checks the slots
     (``check_slots``)."""
     rel_sum = 0.0
-    fair_sum = 0.0
     n_rep = 0
     cats = set()
-    for pos, j in enumerate(chosen, start=1):
+    for j in chosen:
         rel_sum += problem.relevance[j]
-        fair_sum += problem.fairness_coef[j] * problem.exposure.weight(pos)
         if problem.is_repeat[j]:
             n_rep += 1
         cats.add(problem.category[j])
+    # without a fairness weight the exposure sum would be multiplied by 0
+    fair_sum = 0.0
+    if problem.alpha_eff:
+        for pos, j in enumerate(chosen, start=1):
+            fair_sum += problem.fairness_coef[j] * problem.exposure.weight(pos)
 
     value = problem.rel_scale * rel_sum
     value += problem.epsilon_eff * len(cats) / problem.k

@@ -6,11 +6,13 @@ one exact algorithm per problem shape:
 
 * ``solve_topk_linear`` -- closed form for problems with no fairness term
   that depends on basket position (``_position_dependent``) and either no
-  coverage term or at most one pool with slots: every unified problem of
-  that kind, and combined ones whose H(theta) split gives every slot to one
-  pool. Without coverage, each pool takes its top items by adjusted
-  per-item value. With coverage, the gain is separable and concave per
-  category, so the pool's largest marginal gains are an optimum
+  coverage term or at most one pool with a choice (``_one_choice``): every
+  unified problem of that kind, and combined ones whose H(theta) split
+  gives every slot to one pool or gives a pool as many slots as candidates.
+  Such a pool is taken whole. Without coverage, each pool takes its top
+  items by adjusted per-item value. With coverage, the gain is separable
+  and concave per category once the categories of a pool taken whole count
+  as covered, so the pool with a choice takes its largest marginal gains
   (``_coverage_cut``). Items tied at the cut are chosen by the tie rule
   (``_fill_ties``): the smallest ids when the choice fills one block of
   positions, else one incremental walk per basket position over the tied
@@ -21,12 +23,13 @@ one exact algorithm per problem shape:
   split gives every slot to one pool. It runs over a prefix of the pool's
   candidates that grows until a bound shows that no basket reaching past it
   can tie the optimum.
-* ``solve_branch_and_bound`` -- every problem with slots in both pools and a
-  coverage or position-dependent term. Candidates are visited in
-  within-basket ranking order (relevance desc, id asc), so the t-th
-  included item occupies position t and exposure weights are known during
-  the search. A node is pruned by an admissible bound: per-pool suffix
-  top-value sums, an every-slot-opens-a-category coverage bonus, and a
+* ``solve_branch_and_bound`` -- every problem with a coverage term and a
+  choice in both pools, or with a position-dependent term and slots in both
+  pools. Candidates are visited in within-basket ranking order (relevance
+  desc, id asc), so the t-th included item occupies position t and
+  exposure weights are known during the search. A node is pruned by an
+  admissible bound: per-pool suffix top-value sums, an
+  every-slot-opens-a-category coverage bonus, and a
   best-coefficient-at-each-position fairness bonus.
 
 All three reject a pool with fewer candidates than slots
@@ -36,8 +39,9 @@ selection. It is the testing oracle, kept independent of the paths above
 
 One tie rule holds in all four (``_better``): a selection wins when its
 objective is higher by more than ``_TIE_TOL``; otherwise the
-lexicographically smaller position-ordered item-id sequence wins. A user
-that ``rerank_all`` leaves out is reported through ``warnings.warn``.
+lexicographically smaller position-ordered item-id sequence wins.
+``rerank_all`` names the user in each solve error; a user that it leaves
+out is reported through ``warnings.warn``.
 """
 from __future__ import annotations
 
@@ -108,8 +112,7 @@ def _checked_pools(problem: RerankProblem) -> tuple[list[list[int]], list[int]]:
     for p, (pool, quota) in enumerate(zip(pools, quotas)):
         if len(pool) < quota:
             raise SolverError(
-                f"user {problem.user_id!r}: pool {p} has {len(pool)} candidates "
-                f"for {quota} slots")
+                f"pool {p} has {len(pool)} candidates for {quota} slots")
     return pools, quotas
 
 
@@ -123,11 +126,21 @@ def _one_pool(problem: RerankProblem) -> bool:
     return not (problem.repeat_slots and problem.explore_slots)
 
 
+def _one_choice(problem: RerankProblem) -> bool:
+    """Does at most one pool have a choice, more candidates than slots? A
+    pool with as many slots as candidates is taken whole."""
+    if not (problem.repeat_slots and problem.explore_slots):
+        return True
+    n_repeat = sum(problem.is_repeat)
+    return (n_repeat <= problem.repeat_slots
+            or problem.n_candidates - n_repeat <= problem.explore_slots)
+
+
 def _closed_form_applicable(problem: RerankProblem) -> bool:
     """No position-dependent fairness term and, with a coverage term, at
-    most one pool with slots."""
+    most one pool with a choice."""
     return not _position_dependent(problem) and (
-        problem.epsilon_eff == 0.0 or _one_pool(problem))
+        problem.epsilon_eff == 0.0 or _one_choice(problem))
 
 
 def solve_topk_linear(problem: RerankProblem) -> Selection:
@@ -136,25 +149,34 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
     Without a coverage term each item's contribution is independent of the
     rest of the selection: each pool takes the items above its cut (the
     quota-th largest adjusted value) and leaves one tie group, the items
-    within the tolerance of the cut. With a coverage term and one pool with
-    slots, ``_coverage_cut`` finds the forced items and per-category tie
-    groups. ``_fill_ties`` then fills the slots left by the tie rule, and
-    the basket is scored from the chosen candidate indices, which are
-    already in basket-position order.
+    within the tolerance of the cut. A pool with as many slots as
+    candidates is taken whole, as forced items. With a coverage term and
+    one pool with a choice, ``_coverage_cut`` finds that pool's forced items
+    and per-category tie groups; the categories of a pool taken whole are
+    already covered. ``_fill_ties`` then fills the slots left by the tie
+    rule, and the basket is scored from the chosen candidate indices, which
+    are already in basket-position order.
     """
     if not _closed_form_applicable(problem):
         raise UsageError("the closed form requires a fairness term that does "
                          "not depend on position and, with a diversity term, "
-                         "at most one pool with slots")
+                         "at most one pool with a choice (more candidates "
+                         "than slots)")
     start = time.perf_counter()
     adj = _adjusted_values(problem)
     chosen: list[int] = []
-    pools: list[tuple[int, list[tuple[list[int], int, int]]]] = []
+    choice: list[tuple[list[int], int]] = []
     for pool, quota in zip(*_checked_pools(problem)):
-        if not quota:
-            continue
+        if quota == len(pool):
+            chosen += pool
+        elif quota:
+            choice.append((pool, quota))
+    pools: list[tuple[int, list[tuple[list[int], int, int]]]] = []
+    for pool, quota in choice:
         if problem.epsilon_eff:
-            forced, groups = _coverage_cut(problem, pool, quota, adj)
+            # the one pool with a choice: ``chosen`` is a pool taken whole,
+            # or empty
+            forced, groups = _coverage_cut(problem, pool, quota, adj, chosen)
         else:
             pool.sort(key=adj.__getitem__, reverse=True)
             cut = adj[pool[quota - 1]]
@@ -177,16 +199,20 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
 
 
 def _coverage_cut(problem: RerankProblem, pool: list[int], quota: int,
-                  adj: list[float]
+                  adj: list[float], taken: list[int]
                   ) -> tuple[list[int], list[tuple[list[int], int, int]]]:
-    """Forced candidates and tie groups of the one pool with slots when
-    each newly covered category adds a bonus, epsilon / K.
+    """Forced candidates and tie groups of the one pool with a choice when
+    each newly covered category adds a bonus, epsilon / K. ``taken`` holds
+    the candidates of a pool taken whole: their categories are already
+    covered, so their items here earn no bonus.
 
     Coverage is then a separable concave gain per category: a category's
-    marginals are its best adjusted value plus the bonus, then its other
-    adjusted values in descending order, and the pool's ``quota`` largest
-    marginals are an optimum (greedy for separable concave allocation;
-    Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 14).
+    marginals are its best adjusted value plus the bonus (none when
+    covered), then its other adjusted values in descending order, and the
+    pool's ``quota`` largest marginals are an optimum (greedy for separable
+    concave allocation; Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch.
+    14). With W taken whole and S chosen here, f(W + S) is f(W) plus
+    S's adjusted values plus the bonus of each category of S outside W.
 
     With v the quota-th largest marginal, each category gives, in this
     order: its items above v as forced, and its items tied with v as a
@@ -199,7 +225,10 @@ def _coverage_cut(problem: RerankProblem, pool: list[int], quota: int,
     bonus = problem.epsilon_eff / problem.k
     category = problem.category
     pool.sort(key=adj.__getitem__, reverse=True)
-    by_cat: dict[str, list[int]] = {}
+    # covered categories come first, with no members yet
+    by_cat: dict[str, list[int]] = ({category[j]: [] for j in taken}
+                                    if taken else {})
+    covered = len(by_cat)
     marginals: list[float] = []
     for j in pool:
         members = by_cat.get(category[j])
@@ -211,30 +240,40 @@ def _coverage_cut(problem: RerankProblem, pool: list[int], quota: int,
             marginals.append(adj[j])
     marginals.sort(reverse=True)
     v = marginals[quota - 1]
+    v_hi, v_lo = v + _TIE_TOL, v - _TIE_TOL
     forced: list[int] = []
     groups: list[tuple[list[int], int, int]] = []
-    for members in by_cat.values():
-        top = adj[members[0]]
-        cover = int(top + bonus > v + _TIE_TOL)
-        # members are in descending adjusted value: the forced ones, then
-        # the ones tied with v, form two leading runs
-        above = 0
-        while above < len(members) and adj[members[above]] > v + _TIE_TOL:
-            above += 1
-        near = above
-        while near < len(members) and adj[members[near]] >= v - _TIE_TOL:
-            near += 1
-        if above:
-            forced += members[:above]
-            if near > above:
-                groups.append((sorted(members[above:near]), 0, near - above))
-        elif near:
-            groups.append((sorted(members[:near]), cover, near))
-        elif top + bonus >= v - _TIE_TOL:
-            best = 1
-            while best < len(members) and adj[members[best]] >= top - _TIE_TOL:
-                best += 1
-            groups.append((sorted(members[:best]), cover, 1))
+    # (categories' members, the bonus of each category's best item)
+    parts = [(by_cat.values(), bonus)]
+    if covered:
+        lists = list(by_cat.values())
+        parts = [([m for m in lists[:covered] if m], 0.0),
+                 (lists[covered:], bonus)]
+    for cats, b in parts:
+        for members in cats:
+            top = adj[members[0]]
+            cover = int(top + b > v_hi)
+            # members are in descending adjusted value: the forced ones, then
+            # the ones tied with v, form two leading runs
+            above = 0
+            while above < len(members) and adj[members[above]] > v_hi:
+                above += 1
+            near = above
+            while near < len(members) and adj[members[near]] >= v_lo:
+                near += 1
+            if above:
+                forced += members[:above]
+                if near > above:
+                    groups.append((sorted(members[above:near]), 0,
+                                   near - above))
+            elif near:
+                groups.append((sorted(members[:near]), cover, near))
+            elif top + b >= v_lo:
+                best = 1
+                while (best < len(members)
+                       and adj[members[best]] >= top - _TIE_TOL):
+                    best += 1
+                groups.append((sorted(members[:best]), cover, 1))
     # every group's count is fixed when there is one group, or when the
     # slots left equal the sum of the groups' lo or of their caps
     left = quota - len(forced)
@@ -578,9 +617,7 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
     from itertools import combinations, product
 
     if _combination_count(problem) > _BRUTE_GUARD:
-        raise SolverError(
-            f"user {problem.user_id!r}: enumeration too large; use "
-            "branch_and_bound")
+        raise SolverError("enumeration too large; use branch_and_bound")
     start = time.perf_counter()
     pools, quotas = _pools(problem)
 
@@ -597,7 +634,7 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
         if _better(obj, seq, best_obj, best_seq):
             best_obj, best_seq = obj, seq
     if best_seq is None:
-        raise SolverError(f"user {problem.user_id!r}: no feasible selection")
+        raise SolverError("no feasible selection")
     return Selection(problem.user_id, list(best_seq), best_obj, "brute_force",
                      nodes=count,
                      wall_time=time.perf_counter() - start)

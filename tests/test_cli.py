@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import json
 import os
@@ -825,6 +826,27 @@ def test_warnings_printed_once_in_order(tmp_path, capsys, monkeypatch):
         "(e.g. ['u004', 'u008', 'u011'])",
         "warning: user 'u001': empty target basket, excluded from Recall"]
     assert len(lines) == 3 and lines[2].startswith("data error: ")
+
+
+def test_solver_error_names_the_user_once(tmp_path, capsys, monkeypatch):
+    # a pool short of its slots exits 3, and the message names the user
+    # once; with --skip-errors the warning carries the same text
+    solve = solver_module.solve
+
+    def short_pool(problem):
+        if problem.user_id == "u005":
+            problem = dataclasses.replace(problem, repeat_slots=99)
+        return solve(problem)
+
+    monkeypatch.setattr(solver_module, "solve", short_pool)
+    out = tmp_path / "baskets.tsv"
+    message = "user 'u005': pool 0 has 15 candidates for 99 slots"
+    code, _, err = run(capsys, *rerank_args(out, "--epsilon", "0.1"))
+    assert code == 3 and err.splitlines() == [f"solver error: {message}"]
+    assert not out.exists()
+    code, _, err = run(capsys, *rerank_args(out, "--epsilon", "0.1",
+                                            "--skip-errors"))
+    assert code == 0 and err.splitlines() == [f"warning: {message}"]
 
 
 def test_readme_commands_parse():

@@ -12,6 +12,7 @@ from basket_rerank.dataset import (BasketDataset, UserHistory,
                                    save_baskets, split_leave_last,
                                    SplitDataset)
 from basket_rerank.errors import DataError
+from basket_rerank.metrics import diversity_score
 
 
 def make_ds(baskets_by_user, categories=None):
@@ -100,8 +101,10 @@ class TestCategories:
         assert cats == {"a": "fruit", "b": "dairy"}
 
     def test_unknown_item_gets_unk(self):
-        ds = make_ds({"u1": [["a"]]}, categories={"a": "fruit"})
-        assert ds.category_of("zzz") == "UNK"
+        # an item missing from the categories counts as category "UNK": two
+        # such items share one category
+        baskets = {"u1": ["a", "y", "z"]}
+        assert diversity_score(baskets, {"a": "fruit"}, 3) == 2 / 3
 
 
 class TestFilterMinActivity:

@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -19,6 +20,9 @@ from tests.conftest import toy_path
 from tests.synth import random_combined_instance, random_unified_instance
 from tests.test_objective import combined_cands, groups_for, unified_cands
 
+TWO_POOL_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                            "two_pool")
+
 
 def small_problem(objective_kind="radiv", **cfg_kwargs):
     scores = {"a": 0.9, "b": 0.7, "c": 0.5, "d": 0.3, "e": 0.1}
@@ -31,11 +35,11 @@ def small_problem(objective_kind="radiv", **cfg_kwargs):
                                  groups_for("abcde", {"a", "b"}), cats, cfg)
 
 
-def two_pool_problem(theta=0.6, objective_kind="radiv", **cfg_kwargs):
+def two_pool_problem(theta=0.6, objective_kind="radiv", k=2, **cfg_kwargs):
     rep = {"a": 0.9, "c": 0.5}
     exp = {"b": 0.7, "d": 0.3}
     cats = {"a": "c1", "b": "c1", "c": "c2", "d": "c2"}
-    cfg = RerankConfig(k=2, n=4, theta=theta, objective_kind=objective_kind,
+    cfg = RerankConfig(k=k, n=4, theta=theta, objective_kind=objective_kind,
                        **cfg_kwargs)
     return build_combined_problem("u", combined_cands(rep, exp), {},
                                   groups_for("abcd", {"a", "b"}), cats, cfg)
@@ -64,9 +68,10 @@ class TestTopkLinear:
         assert n_rep == 0
 
     def test_rejects_diversity_term(self):
-        # a diversity term with slots in both pools
+        # a diversity term with a choice in both pools: one slot for two
+        # candidates in each
         p = two_pool_problem(epsilon=0.5)
-        assert p.repeat_slots and p.explore_slots
+        assert (p.repeat_slots, p.explore_slots) == (1, 1)
         with pytest.raises(UsageError):
             solve_topk_linear(p)
 
@@ -248,8 +253,8 @@ class TestRerankAll:
             out = rerank_all(problems[::-1], skip_errors=True)
         assert set(out.baskets) == {"u0"}
         assert [str(w.message) for w in caught] == [
-            f"user {uid!r}: user {uid!r}: pool 0 has 8 candidates for 102 "
-            "slots" for uid in ("u1", "u2")]
+            f"user {uid!r}: pool 0 has 8 candidates for 102 slots"
+            for uid in ("u1", "u2")]
 
 
 def test_auto_engine_dispatch():
@@ -257,8 +262,11 @@ def test_auto_engine_dispatch():
         small_problem(exposure=ExposureModel("uniform")),
         small_problem(epsilon=0.2),
         two_pool_problem(theta=1.0, epsilon=0.2),  # no repeat slots
+        # the repeat pool taken whole, one explore slot for two candidates
+        two_pool_problem(theta=0.4, k=3, epsilon=0.2),
     ]
     assert closed_form[2].repeat_slots == 0
+    assert (closed_form[3].repeat_slots, closed_form[3].explore_slots) == (2, 1)
     for p in closed_form:
         sel = solve(p)
         assert (sel.solver_tag, sel.nodes) == ("topk_linear", 0)
@@ -279,7 +287,8 @@ def test_auto_engine_dispatch():
         two_pool_problem(objective_kind="raif", **log_discount),
     ]
     for p in search:
-        assert p.repeat_slots and p.explore_slots
+        # a choice in both pools
+        assert (p.repeat_slots, p.explore_slots) == (1, 1)
         assert solve(p).solver_tag == "branch_and_bound"
 
 
@@ -358,17 +367,23 @@ def test_rounding_tie_goes_to_smaller_sequence():
 
 
 def one_pool_coverage_problem(seed, kind, epsilon):
-    """A coverage problem with one pool holding every slot: 1-4 categories,
-    scores from four levels or continuous, radiv or naive_div. Combined
-    problems keep a few candidates in the pool with no slots, sharing the
-    categories."""
+    """A coverage problem with at most one pool with a choice: 1-4
+    categories, scores from four levels or continuous, radiv or naive_div.
+    "combined" problems give every slot to one pool and keep a few
+    candidates in the other, sharing the categories. "whole" problems take
+    those few candidates whole, as many slots as candidates, and give the
+    other pool 1-4 slots and more candidates than slots; either pool is
+    the one taken whole."""
     rng = random.Random(seed)
     quantized = rng.random() < 0.5
     score = (lambda: rng.choice((0.2, 0.4, 0.6, 0.8))) if quantized \
         else rng.random
     k = rng.randint(1, 4)
-    ids = [f"i{j:02d}" for j in rng.sample(range(100), k + rng.randint(0, 5))]
+    ids = [f"i{j:02d}" for j in rng.sample(
+        range(100), k + rng.randint(1 if kind == "whole" else 0, 5))]
     extra = [f"x{j:02d}" for j in rng.sample(range(100), rng.randint(1, 3))]
+    if kind == "whole":
+        k += len(extra)
     n_cats = rng.randint(1, 4)
     cats = {i: f"c{rng.randrange(n_cats)}" for i in ids + extra}
     cfg = RerankConfig(
@@ -382,17 +397,25 @@ def one_pool_coverage_problem(seed, kind, epsilon):
         reps = {"u": frozenset(i for i in ids if rng.random() < 0.5)}
         return build_unified_problem("u", unified_cands(
             {i: score() for i in ids}, n=len(ids)), reps, groups, cats, cfg)
-    # theta -1 gives every slot to the repeat pool, theta 2 to explore
-    rep, exp = (ids, extra) if cfg.theta < 0 else (extra, ids)
+    # theta -1 gives the repeat pool every slot it can fill, theta 2 gives
+    # the explore pool every slot it can fill
+    rep, exp = (ids, extra) if (cfg.theta < 0) == (kind == "combined") \
+        else (extra, ids)
     p = build_combined_problem("u", combined_cands(
         {i: score() for i in rep}, {i: score() for i in exp}), {}, groups,
         cats, cfg)
-    assert 0 in (p.repeat_slots, p.explore_slots) and p.total_slots == k
+    slots = (p.repeat_slots, p.explore_slots)
+    if kind == "combined":
+        assert 0 in slots and p.total_slots == k
+    else:
+        # the pool of extra candidates is taken whole
+        whole = 0 if rep is extra else 1
+        assert slots[whole] == len(extra) and slots[1 - whole] < len(ids)
     return p
 
 
 @pytest.mark.parametrize("epsilon", [1e-12, 1e-9, 0.05, 0.2, 1.0])
-@pytest.mark.parametrize("kind", ["unified", "combined"])
+@pytest.mark.parametrize("kind", ["unified", "combined", "whole"])
 def test_one_pool_coverage_matches_oracle(kind, epsilon):
     for seed in range(120):
         p = one_pool_coverage_problem(seed, kind, epsilon)
@@ -403,8 +426,11 @@ def test_one_pool_coverage_matches_oracle(kind, epsilon):
 
 
 def test_coverage_closed_form_matches_branch_and_bound():
-    # past brute force's reach: N=40, K=10, scores from nine levels
-    for seed in range(80):
+    # past brute force's reach: N=40, K=10, scores from nine levels. "whole"
+    # problems take 1-9 candidates whole, as the repeat pool (odd seeds) or
+    # the explore pool (even seeds), and leave the other pool a choice.
+    for kind, seed in [("unified", seed) for seed in range(80)] + \
+            [("whole", seed) for seed in range(40)]:
         rng = random.Random(seed)
         ids = [f"i{j:03d}" for j in rng.sample(range(1000), 40)]
         scores = {i: rng.randint(1, 9) / 10 for i in ids}
@@ -414,10 +440,21 @@ def test_coverage_closed_form_matches_branch_and_bound():
             k=10, n=40, epsilon=rng.choice((0.05, 0.2, 0.5, 1.0)),
             lam=rng.choice((0.0, 0.2, 0.4)),
             objective_kind=rng.choice(("radiv", "naive_div")),
-            sign_mode=rng.choice(("penalize_repeat", "reward_repeat")))
-        reps = {"u": frozenset(i for i in ids if rng.random() < 0.4)}
-        p = build_unified_problem("u", unified_cands(scores, n=40), reps,
-                                  groups_for(ids, ids[:10]), cats, cfg)
+            sign_mode=rng.choice(("penalize_repeat", "reward_repeat")),
+            theta=-1.0 if seed % 2 else 2.0)
+        groups = groups_for(ids, ids[:10])
+        if kind == "unified":
+            reps = {"u": frozenset(i for i in ids if rng.random() < 0.4)}
+            p = build_unified_problem("u", unified_cands(scores, n=40), reps,
+                                      groups, cats, cfg)
+        else:
+            w = rng.randint(1, 9)
+            whole = {i: scores[i] for i in ids[:w]}
+            rest = {i: scores[i] for i in ids[w:]}
+            rep, exp = (whole, rest) if seed % 2 else (rest, whole)
+            p = build_combined_problem("u", combined_cands(rep, exp), {},
+                                       groups, cats, cfg)
+            assert (p.repeat_slots if seed % 2 else p.explore_slots) == w
         sel, ref = solve(p), solve_branch_and_bound(p)
         assert sel.solver_tag == "topk_linear"
         assert sel.items == ref.items, f"seed {seed}"
@@ -616,11 +653,31 @@ def test_solves_leave_no_cyclic_garbage():
             gc.enable()
 
 
-def test_toy_golden_is_oracle_output(tmp_path):
-    spec = importlib.util.spec_from_file_location("regen", toy_path("regen.py"))
+def load_regen(path):
+    spec = importlib.util.spec_from_file_location("regen", path)
     regen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(regen)
+    return regen
+
+
+def test_toy_golden_is_oracle_output(tmp_path):
+    regen = load_regen(toy_path("regen.py"))
     out = tmp_path / "golden.tsv"
     regen.write_golden(str(out))
     with open(toy_path("golden_radiv_e0.1_l0.1.tsv"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def test_two_pool_golden_matches_solve():
+    # branch-and-bound's frozen answers on full-size two-pool problems: the
+    # same items and a bit-equal objective from whatever path solve takes
+    regen = load_regen(os.path.join(TWO_POOL_DIR, "regen.py"))
+    with open(regen.GOLDEN, encoding="utf-8") as fh:
+        golden = [line.rstrip("\n").split("\t") for line in fh]
+    problems = regen.golden_problems()
+    assert len(golden) == len(problems) == 216
+    for (name, uid, items, obj), (set_name, p) in zip(golden, problems):
+        assert (name, uid) == (set_name, p.user_id)
+        sel = solve(p)
+        assert sel.items == items.split(","), f"{name} {uid}"
+        assert repr(sel.objective) == obj, f"{name} {uid}"
