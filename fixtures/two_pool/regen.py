@@ -1,12 +1,14 @@
-"""Regenerate the frozen branch-and-bound answers on full-size two-pool
-problems (``golden_bnb.tsv``).
+"""Regenerate the frozen reference answers on full-size two-pool problems
+(``golden_bnb.tsv``).
 
 Run from the repo root:  PYTHONPATH=src python3 fixtures/two_pool/regen.py
 
-Brute force checks the exact solvers only on small problems. This file
-keeps branch-and-bound's answers on larger two-pool problems (N=40 to 100,
-K=12 or 20), so that another exact path can be checked against them: item
-ids in basket order and ``repr`` of the objective, one user per line.
+Brute force checks the exact solvers only on small problems. The answers in
+``golden_bnb.tsv`` were written by branch-and-bound, the exhaustive search
+that commit b6d7733 still had, on larger two-pool problems (N=40 to 100,
+K=12 or 20), and are kept so that ``solve`` can be checked against them:
+item ids in basket order and ``repr`` of the objective, one user per line.
+This script writes the same lines through ``solve``.
 
 Every problem comes from ``golden_problems``, seeded per set, 12 users a
 set:
@@ -23,7 +25,7 @@ set:
 
 Each construction covers radiv, naive_div and log-discount raif at a low
 and a high weight. The tie-heavy and whole-pool sets stay below N=100
-because branch-and-bound takes many seconds on single users there.
+because branch-and-bound took many seconds on single users there.
 """
 import dataclasses
 import os
@@ -34,7 +36,7 @@ from basket_rerank.dataset import ItemGroups
 from basket_rerank.objective import (ExposureModel, RerankConfig,
                                      build_unified_problem)
 from basket_rerank.scorer import CandidateSet, rank_pairs
-from basket_rerank.solver import solve_branch_and_bound
+from basket_rerank.solver import solve
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_bnb.tsv")
@@ -102,10 +104,10 @@ def golden_problems() -> list:
 
 def golden_lines() -> list[str]:
     """One line per user: set, user, items in basket order, repr of the
-    objective, from branch-and-bound."""
+    objective."""
     lines = []
     for name, p in golden_problems():
-        sel = solve_branch_and_bound(p)
+        sel = solve(p)
         lines.append(f"{name}\t{p.user_id}\t{','.join(sel.items)}\t"
                      f"{sel.objective!r}\n")
     return lines

@@ -15,8 +15,7 @@ from .objective import (ExposureModel, RerankConfig, RerankProblem,
 from .scorer import (CandidateSet, import_scores, make_unified,
                      score_explore_popularity, score_repeat_topfreq)
 from .solver import (RerankedBaskets, Selection, rerank_all, solve,
-                     solve_branch_and_bound, solve_bruteforce,
-                     solve_topk_linear)
+                     solve_bruteforce, solve_exposure_dp, solve_topk_linear)
 from .tuner import GridSpec, TuneResult, final_evaluate, run_grid
 
 __version__ = "0.1.0"

@@ -403,8 +403,7 @@ def _cmd_rerank(args) -> int:
             "total_objective": baskets.total_objective,
             "per_user": {
                 uid: {"objective": s.objective, "solver": s.solver_tag,
-                      "nodes": s.nodes, "prunes": s.prunes,
-                      "wall_time": s.wall_time}
+                      "nodes": s.nodes, "wall_time": s.wall_time}
                 for uid, s in sorted(baskets.baskets.items())},
         }
         with open(args.stats, "w", encoding="utf-8") as fh:

@@ -1,43 +1,25 @@
 """Exact per-user solvers for the re-ranking selection problems.
 
-The global programs decompose across users (no cross-user terms or
-constraints), so each user's basket is found independently. ``solve`` picks
-one exact algorithm per problem shape:
+The global programs decompose across users, so each user's basket is found
+independently. No objective kind mixes the diversity term with a fairness
+term that depends on basket position (``_position_dependent``), so every
+problem has one of three shapes, and ``solve`` gives each one exact
+algorithm:
 
-* ``solve_topk_linear`` -- closed form for problems with no fairness term
-  that depends on basket position (``_position_dependent``) and either no
-  coverage term or at most one pool with a choice (``_one_choice``): every
-  unified problem of that kind, and combined ones whose H(theta) split
-  gives every slot to one pool or gives a pool as many slots as candidates.
-  Such a pool is taken whole. Without coverage, each pool takes its top
-  items by adjusted per-item value. With coverage, the gain is separable
-  and concave per category once the categories of a pool taken whole count
-  as covered, so the pool with a choice takes its largest marginal gains
-  (``_coverage_cut``). Items tied at the cut are chosen by the tie rule
-  (``_fill_ties``): the smallest ids when the choice fills one block of
-  positions, else one incremental walk per basket position over the tied
-  and forced candidates only, whatever N.
-* ``solve_exposure_dp`` -- a ranking-order DP for the problems left with
-  no coverage term and at most one pool with slots: position-dependent
-  exposure in every unified problem, and in combined ones whose H(theta)
-  split gives every slot to one pool. It runs over a prefix of the pool's
-  candidates that grows until a bound shows that no basket reaching past it
-  can tie the optimum.
-* ``solve_branch_and_bound`` -- every problem with a coverage term and a
-  choice in both pools, or with a position-dependent term and slots in both
-  pools. Candidates are visited in within-basket ranking order (relevance
-  desc, id asc), so the t-th included item occupies position t and
-  exposure weights are known during the search. A node is pruned by an
-  admissible bound: per-pool suffix top-value sums, an
-  every-slot-opens-a-category coverage bonus, and a
-  best-coefficient-at-each-position fairness bonus.
+* additive: ``solve_topk_linear``, each pool's top items by adjusted value;
+* additive plus a category-coverage bonus: ``solve_topk_linear`` too, with
+  the largest marginal gains of the one pool with a choice
+  (``_coverage_cut``) or, with a choice in both pools, of both pools under
+  a multiplier on the explore pool's count (``_lagrangian_cut``);
+* additive plus position-weighted exposure: ``solve_exposure_dp``, a DP
+  over the items taken from each pool, in ranking order.
 
-All three reject a pool with fewer candidates than slots
+Every path rejects a pool with fewer candidates than slots
 (``_checked_pools``). ``solve_bruteforce`` enumerates every feasible
 selection. It is the testing oracle, kept independent of the paths above
 (it scores selections only through ``objective_value``).
 
-One tie rule holds in all four (``_better``): a selection wins when its
+One tie rule holds on every path (``_better``): a selection wins when its
 objective is higher by more than ``_TIE_TOL``; otherwise the
 lexicographically smaller position-ordered item-id sequence wins.
 ``rerank_all`` names the user in each solve error; a user that it leaves
@@ -45,7 +27,6 @@ out is reported through ``warnings.warn``.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import time
@@ -70,7 +51,6 @@ class Selection:
     objective: float
     solver_tag: str
     nodes: int = 0
-    prunes: int = 0
     wall_time: float = 0.0
 
 
@@ -121,95 +101,85 @@ def _position_dependent(problem: RerankProblem) -> bool:
     return problem.alpha_eff != 0.0 and problem.exposure.kind != "uniform"
 
 
-def _one_pool(problem: RerankProblem) -> bool:
-    """Does at most one pool have slots?"""
-    return not (problem.repeat_slots and problem.explore_slots)
-
-
-def _one_choice(problem: RerankProblem) -> bool:
-    """Does at most one pool have a choice, more candidates than slots? A
-    pool with as many slots as candidates is taken whole."""
-    if not (problem.repeat_slots and problem.explore_slots):
-        return True
-    n_repeat = sum(problem.is_repeat)
-    return (n_repeat <= problem.repeat_slots
-            or problem.n_candidates - n_repeat <= problem.explore_slots)
-
-
-def _closed_form_applicable(problem: RerankProblem) -> bool:
-    """No position-dependent fairness term and, with a coverage term, at
-    most one pool with a choice."""
-    return not _position_dependent(problem) and (
-        problem.epsilon_eff == 0.0 or _one_choice(problem))
-
-
 def solve_topk_linear(problem: RerankProblem) -> Selection:
     """Closed form for problems without a position-dependent term.
 
-    Without a coverage term each item's contribution is independent of the
-    rest of the selection: each pool takes the items above its cut (the
+    Without a coverage term each pool takes the items above its cut (the
     quota-th largest adjusted value) and leaves one tie group, the items
     within the tolerance of the cut. A pool with as many slots as
-    candidates is taken whole, as forced items. With a coverage term and
-    one pool with a choice, ``_coverage_cut`` finds that pool's forced items
-    and per-category tie groups; the categories of a pool taken whole are
-    already covered. ``_fill_ties`` then fills the slots left by the tie
-    rule, and the basket is scored from the chosen candidate indices, which
-    are already in basket-position order.
+    candidates is taken whole, as forced items. With a coverage term,
+    ``_coverage_cut`` (one pool with a choice) or ``_lagrangian_cut`` (both)
+    gives the forced items and tie groups. The tie rule fills the slots
+    left (``_fill_ties``), and the basket is scored from the chosen
+    candidate indices, already in basket-position order. ``nodes`` counts
+    the greedy evaluations of the Lagrangian search, 0 without one.
     """
-    if not _closed_form_applicable(problem):
+    if _position_dependent(problem):
         raise UsageError("the closed form requires a fairness term that does "
-                         "not depend on position and, with a diversity term, "
-                         "at most one pool with a choice (more candidates "
-                         "than slots)")
+                         "not depend on position")
     start = time.perf_counter()
     adj = _adjusted_values(problem)
+    pools, quotas = _checked_pools(problem)
     chosen: list[int] = []
-    choice: list[tuple[list[int], int]] = []
-    for pool, quota in zip(*_checked_pools(problem)):
+    choice: list[int] = []
+    for p, (pool, quota) in enumerate(zip(pools, quotas)):
         if quota == len(pool):
             chosen += pool
         elif quota:
-            choice.append((pool, quota))
-    pools: list[tuple[int, list[tuple[list[int], int, int]]]] = []
-    for pool, quota in choice:
-        if problem.epsilon_eff:
-            # the one pool with a choice: ``chosen`` is a pool taken whole,
-            # or empty
-            forced, groups = _coverage_cut(problem, pool, quota, adj, chosen)
-        else:
-            pool.sort(key=adj.__getitem__, reverse=True)
-            cut = adj[pool[quota - 1]]
-            lo, hi = quota - 1, quota
-            while lo and adj[pool[lo - 1]] <= cut + _TIE_TOL:
-                lo -= 1
-            while hi < len(pool) and adj[pool[hi]] >= cut - _TIE_TOL:
-                hi += 1
-            forced = pool[:lo]
-            groups = [(sorted(pool[lo:hi]), quota - lo, quota - lo)]
-        chosen += forced
-        pools.append((quota - len(forced), groups))
-    chosen += _fill_ties(problem, chosen, pools)
+            choice.append(p)
+    nodes = 0
+    if problem.epsilon_eff and len(choice) == 2:
+        chosen, groups, nodes = _lagrangian_cut(problem, adj)
+        explore = sum(not problem.is_repeat[j] for j in chosen)
+        left = [quotas[0] - len(chosen) + explore, quotas[1] - explore]
+        # groups that span both pools leave no fast path
+        chosen += _walk_ties(problem, chosen, left, groups)
+    else:
+        left = [0, 0]  # each pool's slots left to its tie groups
+        groups = []
+        for p in choice:
+            pool, quota = pools[p], quotas[p]
+            if problem.epsilon_eff:
+                # the one pool with a choice: ``chosen`` is a pool taken
+                # whole, or empty
+                forced, pool_groups, _ = _coverage_cut(problem, pool, quota,
+                                                       adj, chosen)
+            else:
+                pool.sort(key=adj.__getitem__, reverse=True)
+                cut = adj[pool[quota - 1]]
+                lo, hi = quota - 1, quota
+                while lo and adj[pool[lo - 1]] <= cut + _TIE_TOL:
+                    lo -= 1
+                while hi < len(pool) and adj[pool[hi]] >= cut - _TIE_TOL:
+                    hi += 1
+                forced = pool[:lo]
+                pool_groups = [(sorted(pool[lo:hi]), quota - lo, quota - lo)]
+            chosen += forced
+            left[p] = quota - len(forced)
+            groups += pool_groups
+        chosen += _fill_ties(problem, chosen, left, groups)
     chosen.sort()  # candidate order is basket-position order
     selected = [problem.items[j] for j in chosen]
     check_slots(problem, selected, sum(problem.is_repeat[j] for j in chosen))
     obj = indexed_objective_value(problem, chosen)
     return Selection(problem.user_id, selected, obj, "topk_linear",
-                     wall_time=time.perf_counter() - start)
+                     nodes=nodes, wall_time=time.perf_counter() - start)
 
 
 def _coverage_cut(problem: RerankProblem, pool: list[int], quota: int,
                   adj: list[float], taken: list[int]
-                  ) -> tuple[list[int], list[tuple[list[int], int, int]]]:
-    """Forced candidates and tie groups of the one pool with a choice when
-    each newly covered category adds a bonus, epsilon / K. ``taken`` holds
-    the candidates of a pool taken whole: their categories are already
-    covered, so their items here earn no bonus.
+                  ) -> tuple[list[int], list[tuple[list[int], int, int]],
+                             list[float]]:
+    """Forced candidates and tie groups of ``quota`` items from ``pool``
+    when each newly covered category adds a bonus, epsilon / K, and the
+    marginals in descending order. ``taken`` holds the candidates of a pool
+    taken whole: their categories are already covered, so their items here
+    earn no bonus.
 
     Coverage is then a separable concave gain per category: a category's
     marginals are its best adjusted value plus the bonus (none when
     covered), then its other adjusted values in descending order, and the
-    pool's ``quota`` largest marginals are an optimum (greedy for separable
+    ``quota`` largest marginals are an optimum (greedy for separable
     concave allocation; Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch.
     14). With W taken whole and S chosen here, f(W + S) is f(W) plus
     S's adjusted values plus the bonus of each category of S outside W.
@@ -286,117 +256,182 @@ def _coverage_cut(problem: RerankProblem, pool: list[int], quota: int,
     elif left == sum(caps):
         counts = caps
     else:
-        return forced, groups
+        return forced, groups, marginals
     return forced, [(members, c, c)
-                    for (members, _, _), c in zip(groups, counts)]
+                    for (members, _, _), c in zip(groups, counts)], marginals
 
 
-def _fill_ties(problem: RerankProblem, forced: list[int],
-               pools: list[tuple[int, list[tuple[list[int], int, int]]]]
-               ) -> list[int]:
-    """Choose each pool's ``total`` candidates from its tie groups, each
+def _lagrangian_cut(problem: RerankProblem, adj: list[float]
+                    ) -> tuple[list[int], list[tuple[list[int], int, int]],
+                               int]:
+    """Forced candidates and tie groups, over both pools, of a coverage
+    problem with a choice in both pools, and the number of greedy
+    evaluations that found them.
+
+    The objective is M-natural-concave, also summed by pool (Murota,
+    *Discrete Convex Analysis*, 2003), so a multiplier on the explore count
+    q1 closes the duality gap: OPT = min over mu of phi(mu) = L(mu) - mu *
+    q1, with L(mu) the best K items of both pools when mu is added to every
+    explore item (``_coverage_cut``). The optima are the maximizers of
+    L(mu*) with q1 explore items. phi is convex and piecewise linear; its
+    slopes at mu are the explore counts of L(mu)'s maximizers, less q1: the
+    forced ones plus what the groups can give. With c0 and c1 a group's
+    members in each pool, the groups give pool 0 between sum max(0, lo -
+    c1) and sum min(hi, c0), pool 1 likewise, and both between sum lo and
+    sum min(hi, c0 + c1). From two ends where one pool's marginals beat all
+    of the other's, the search evaluates where the ends' tangents meet and
+    replaces the end whose slopes have that point's sign, until q1 lies in
+    the count range. (A float slope flips between tied items and never
+    reaches 0.)
+    """
+    n, k, q1 = problem.n_candidates, problem.total_slots, problem.explore_slots
+    explore = [not rep for rep in problem.is_repeat]
+
+    def cut(mu: float) -> tuple:
+        """mu, phi(mu), the least and greatest slope, forced, groups."""
+        shifted = [a + mu if e else a for a, e in zip(adj, explore)]
+        forced, groups, marginals = _coverage_cut(problem, list(range(n)), k,
+                                                  shifted, [])
+        left = k - len(forced)
+        n1 = sum(explore[j] for j in forced) - q1
+        lo0 = hi0 = lo1 = hi1 = 0
+        for members, lo, hi in groups:
+            c1 = sum(explore[j] for j in members)
+            c0 = len(members) - c1
+            lo0 += max(0, lo - c1)
+            hi0 += min(hi, c0)
+            lo1 += max(0, lo - c0)
+            hi1 += min(hi, c1)
+        return (mu, sum(marginals[:k]) - mu * q1, n1 + max(lo1, left - hi0),
+                n1 + min(hi1, left - lo0), forced, groups)
+
+    span = 2 * (max(adj) - min(adj) + problem.epsilon_eff / problem.k + 1)
+    # below: a right slope under 0; above: a left slope over 0
+    below, above = cut(-span), cut(span)
+    # each miss moves one end's integer slope towards 0, so K + 1
+    # evaluations suffice
+    for evals in range(3, k + 2):
+        mu = ((above[1] - below[1] + below[3] * below[0]
+               - above[2] * above[0]) / (below[3] - above[2]))
+        point = cut(mu)
+        if point[2] <= 0 <= point[3]:
+            return point[4], point[5], evals
+        if point[3] < 0:
+            below = point
+        else:
+            above = point
+    raise SolverError("the Lagrangian search did not converge")
+
+
+def _fill_ties(problem: RerankProblem, forced: list[int], left: list[int],
+               groups: list[tuple[list[int], int, int]]) -> list[int]:
+    """Choose ``left[p]`` candidates of pool p from the tie groups, each
     group (candidate indices in candidate order, lo, hi) giving between lo
     and hi of them, so that, with the ``forced`` ones, the position-ordered
     id sequence is the smallest.
 
     When every group's count is fixed and the members a group leaves out
-    share one relevance, the first ids of each group are the answer.
-    Otherwise ``_walk_ties`` fills the positions in order; a position costs
-    one step per group member or forced candidate it walks past.
+    share one relevance, the first ids of each group are the answer: each
+    group holds members of one pool. Otherwise ``_walk_ties`` fills the
+    positions in order; a position costs one step per group member or
+    forced candidate it walks past.
     """
     rel = problem.relevance
     if all(lo == hi and (lo == len(members) or not lo
                          or rel[members[0]] == rel[members[-1]])
-           for _, groups in pools for members, lo, hi in groups):
+           for members, lo, hi in groups):
         # the items left out of each group share one relevance: they fill
         # one block of positions in id order, so the first ``need`` are the
         # smallest ids
-        return [j for _, groups in pools for members, need, _ in groups
-                for j in members[:need]]
-    return _walk_ties(problem, forced, pools)
+        return [j for members, need, _ in groups for j in members[:need]]
+    return _walk_ties(problem, forced, left, groups)
 
 
-def _walk_ties(problem: RerankProblem, forced: list[int],
-               pools: list[tuple[int, list[tuple[list[int], int, int]]]]
-               ) -> list[int]:
+def _walk_ties(problem: RerankProblem, forced: list[int], left: list[int],
+               groups: list[tuple[list[int], int, int]]) -> list[int]:
     """``_fill_ties``'s general path: fill positions in candidate order,
     each with the smallest id that keeps a completion (the groups must
     admit one).
 
-    Taking candidate j skips every group member before it. With ``cnt[g]``
-    group g's members from j on, a completion exists when no group is short
-    of its lo (lo <= cnt) and each pool's slots left fit in its room, the
-    sum of min(hi, cnt). That test does not depend on j's group and fails
-    from some j on, so one walk from the cursor finds every option: each
-    member whose group still has a slot (hi > 0) in a pool with slots left
-    -- a member of a group at its lo also needs the pool's slack, a slot
-    beyond its summed lo -- and the next forced candidate, where the walk
-    ends.
-
-    The walk visits group members and forced candidates only, keeping
-    ``cnt``, each pool's room less its slots left (``spare``) and the count
-    of short groups up to date as it passes each member. It then undoes its
-    passes from the chosen candidate on and takes it, which lowers the
-    group's lo, hi and members left and the pool's room and slots left by
-    one each. A position costs one step per member or forced candidate
-    walked past, whatever the number of candidates outside the groups.
+    Taking candidate j skips every group member before it. A completion
+    exists when no group is short of its lo and each pool's slots left,
+    and their sum, lie within what the groups' members from j on can give
+    (the bounds of ``_lagrangian_cut``). Passing members only narrows these
+    ranges, so one walk from the cursor finds every option: each member
+    whose taking keeps the slots left in range, and the next forced
+    candidate, where the walk ends. The walk visits group members and
+    forced candidates only, keeping the counts, the distances of each
+    pool's slots left to its two bounds (``up``, ``dn``; ``up_t``, ``dn_t``
+    for their sum) and the count of short groups up to date. It then undoes
+    its passes from the chosen candidate on and takes it. A position costs
+    one step per member or forced candidate walked past.
     """
-    items = problem.items
-    lo: list[int] = []
-    hi: list[int] = []
-    cnt: list[int] = []
-    pool_of: list[int] = []
-    left = [total for total, _ in pools]
-    spare = [-total for total in left]
-    slack = left[:]
-    walk = [(j, -1) for j in forced]  # (candidate, group), -1 if forced
-    for p, (_, groups) in enumerate(pools):
-        for members, g_lo, g_hi in groups:
-            walk += [(j, len(lo)) for j in members]
-            lo.append(g_lo)
-            hi.append(g_hi)
-            cnt.append(len(members))
-            pool_of.append(p)
-            spare[p] += min(g_hi, len(members))
-            slack[p] -= max(g_lo, 0)
+    items, rep = problem.items, problem.is_repeat
+    combined = problem.kind == "combined"
+    left = left[:]
+    lo = [g_lo for _, g_lo, _ in groups]
+    hi = [g_hi for _, _, g_hi in groups]
+    cnt = [[0, 0] for _ in groups]  # each group's members in each pool
+    up, dn = [-left[0], -left[1]], left[:]
+    up_t, dn_t, short = -sum(left), sum(left), 0
+    walk = [(j, -1, 0, 1) for j in forced]  # (candidate, group, pool, other)
+    for g, (members, g_lo, g_hi) in enumerate(groups):
+        c = cnt[g]
+        for j in members:
+            r = 1 if combined and not rep[j] else 0
+            c[r] += 1
+            walk.append((j, g, r, 1 - r))
+        up[0] += min(g_hi, c[0])
+        up[1] += min(g_hi, c[1])
+        up_t += min(g_hi, c[0] + c[1])
+        dn[0] -= max(0, g_lo - c[1])
+        dn[1] -= max(0, g_lo - c[0])
+        dn_t -= max(0, g_lo)
+        short += g_lo > c[0] + c[1]
     walk.sort()
-    short = sum(g_lo > c for g_lo, c in zip(lo, cnt))
     taken: list[int] = []
     cursor = 0
-    while any(left):
+    while left[0] or left[1]:
         best = -1
         for i in range(cursor, len(walk)):
-            j, g = walk[i]
+            j, g, r, q = walk[i]
             if g < 0:
-                if best < 0 or items[j] < items[walk[best][0]]:
+                if best < 0 or items[j] < best_id:
                     best = i
                 break
-            p = pool_of[g]
-            if (hi[g] and left[p] and (lo[g] > 0 or slack[p])
-                    and (best < 0 or items[j] < items[walk[best][0]])):
-                best = i
-            if cnt[g] <= hi[g]:
-                spare[p] -= 1
-            cnt[g] -= 1
-            short += cnt[g] == lo[g] - 1
-            if short or spare[p] < 0:
+            cg = cnt[g]
+            c, o, g_lo, g_hi = cg[r], cg[q], lo[g], hi[g]
+            if (g_hi and left[r] and (g_lo > 0 or dn_t) and (g_lo > o or dn[r])
+                    and (g_hi > o or up[q])
+                    and (best < 0 or items[j] < best_id)):
+                best, best_id = i, items[j]
+            # pass j
+            up[r] -= c <= g_hi
+            up_t -= c + o <= g_hi
+            dn[q] -= g_lo >= c
+            short += c + o == g_lo
+            cg[r] = c - 1
+            if short or up[r] < 0 or up_t < 0 or dn[q] < 0:
                 break
         # undo the passes from the chosen candidate on, then take it
-        for _, g in walk[best:i + 1]:
+        for _, g, r, q in walk[best:i + 1]:
             if g >= 0:
-                short -= cnt[g] == lo[g] - 1
-                cnt[g] += 1
-                if cnt[g] <= hi[g]:
-                    spare[pool_of[g]] += 1
-        j, g = walk[best]
+                cg = cnt[g]
+                c = cg[r] = cg[r] + 1
+                up[r] += c <= hi[g]
+                up_t += c + cg[q] <= hi[g]
+                dn[q] += lo[g] >= c
+                short -= c + cg[q] == lo[g]
+        j, g, r, q = walk[best]
         if g >= 0:
-            p = pool_of[g]
-            if lo[g] <= 0:
-                slack[p] -= 1
-            cnt[g] -= 1
+            o = cnt[g][q]
+            dn_t -= lo[g] <= 0
+            dn[r] -= lo[g] <= o
+            up[q] -= hi[g] <= o
+            cnt[g][r] -= 1
             lo[g] -= 1
             hi[g] -= 1
-            left[p] -= 1
+            left[r] -= 1
             taken.append(j)
         cursor = best + 1
     return taken
@@ -417,191 +452,152 @@ def _adjusted_values(problem: RerankProblem) -> list[float]:
 
 
 def solve_exposure_dp(problem: RerankProblem) -> Selection:
-    """Ranking-order DP for problems with position-weighted exposure, no
-    coverage term and at most one pool with slots.
+    """Ranking-order DP for problems with position-weighted exposure and no
+    coverage term.
 
-    The slotted pool's candidates are taken in ranking order, which is
-    basket-position order, so the t-th item taken sits at position t and
-    adds ``adj_j - alpha * coef_j * e(t)``. ``f[t]`` is the best value of t
-    items from the first M candidates; it grows candidate by candidate. M
-    starts near ``_DP_START * K`` and grows by ``_DP_GROWTH`` until no
-    basket with t < K items from the prefix can come within the tie
-    tolerance of the optimum: f[t], plus the K - t largest adjusted values
-    after M, plus the largest fairness gain after M times the exposure
-    weight left, falls short of ``f[K]`` by more than ``_TIE_TOL``. Every
-    basket the tie rule may choose then lies in the prefix. A backward table
-    over the prefix gives each candidate's best completion, and positions
-    are filled in order, each with the smallest id whose best completion
-    still reaches the optimum within the tolerance. ``nodes`` counts the
-    candidates in the certified prefix.
+    Candidates are taken in ranking order, which is basket-position order,
+    so an item taken after a from pool 0 and b from pool 1 sits at position
+    a + b and adds ``adj_j - alpha * coef_j * e(a + b)`` (with one pool with
+    slots, b stays 0). ``f[a, b]``, the best value of a and b items from the
+    first M candidates, is stored flat at s = b * W + a, with a column and
+    a row of -inf past the quotas that a step past a quota reads. M grows
+    from about ``_DP_START * K`` by ``_DP_GROWTH`` until no state short of
+    K items can reach within ``_TIE_TOL`` of ``f[q0, q1]``: f[a, b] plus
+    each pool's best adjusted values after M for its slots left, plus the
+    best fairness gain after M times the exposure weight left. A backward
+    table over the prefix gives each candidate's best completion, and each
+    position takes the smallest id whose completion still reaches the
+    optimum within the tolerance. ``nodes`` counts the prefix's candidates.
     """
-    if (problem.epsilon_eff or not _one_pool(problem)
-            or not _position_dependent(problem)):
+    if problem.epsilon_eff or not _position_dependent(problem):
         raise UsageError("the exposure DP requires a position-dependent "
-                         "fairness term, no diversity term and at most one "
-                         "pool with slots")
+                         "fairness term and no diversity term")
     start = time.perf_counter()
     pools, quotas = _checked_pools(problem)
-    pool, k = (pools[0], quotas[0]) if quotas[0] else (pools[1], quotas[1])
-    items = problem.items
+    k = problem.total_slots
+    if quotas[0] and quotas[1]:
+        cand, (qa, qb) = list(range(problem.n_candidates)), quotas
+    else:
+        # the pool with slots takes the place of pool 0
+        pools = [pools[0] if quotas[0] else pools[1], []]
+        cand, qa, qb = pools[0], k, 0
+    items, rep = problem.items, problem.is_repeat
     adj = _adjusted_values(problem)
     coef_term = [-problem.alpha_eff * c for c in problem.fairness_coef]
     eweights = problem.exposure.weights(k)
     epre = list(itertools.accumulate(eweights, initial=0.0))
+    width = qa + 2
+    final = qb * width + qa
+    size = (qb + 2) * width if qb else width
+    # each state's exposure weight for the next item; 0 past the quotas
+    ecell = [0.0] * size
+    for b in range(qb + 1):
+        ecell[b * width:b * width + qa + 1] = (eweights + [0.0])[b:b + qa + 1]
+    # a candidate's move in the state: a pool 0 item steps a, a pool 1 item b
+    steps = ([1 if r else width for r in rep] if qb
+             else [1] * problem.n_candidates)
 
     end = math.ceil(_DP_START * k)
-    f = [0.0] + [-math.inf] * k
-    m = 0
+    f = [-math.inf] * size
+    f[0] = 0.0
+    m = n0 = n1 = 0  # the prefix, and its candidates from each pool
+    rows = (0,)  # the rows that a pool 0 item extends, descending
     while True:
-        for j in pool[m:end]:
-            a, c = adj[j], coef_term[j]
-            for t in range(min(m, k - 1), -1, -1):
-                v = f[t] + (a + c * eweights[t])
-                if v > f[t + 1]:
-                    f[t + 1] = v
+        for j in cand[m:end]:
+            x, c = adj[j], coef_term[j]
+            if steps[j] == 1:
+                top = min(n0, qa - 1)
+                for base in rows:
+                    for s in range(base + top, base - 1, -1):
+                        v = f[s] + (x + c * ecell[s])
+                        if v > f[s + 1]:
+                            f[s + 1] = v
+                n0 += 1
+            else:
+                for s in range(min(n1, qb - 1) * width + min(n0, qa), -1, -1):
+                    v = f[s] + (x + c * ecell[s])
+                    if v > f[s + width]:
+                        f[s + width] = v
+                n1 += 1
+                rows = range(min(n1, qb) * width, -1, -width)
             m += 1
-        if m == len(pool):
+        if m == len(cand):
             break
-        rest = pool[m:]
-        best_rest = sorted([adj[j] for j in rest], reverse=True)[:k]
-        max_coef = max([coef_term[j] for j in rest])
-        floor = f[k] - _TIE_TOL
-        tail = 0.0
-        for t in range(k - 1, max(k - len(best_rest), 0) - 1, -1):
-            tail += best_rest[k - 1 - t]
-            if f[t] + tail + max_coef * (epre[k] - epre[t]) >= floor:
+        best_a = [0.0, *itertools.accumulate(sorted(
+            map(adj.__getitem__, pools[0][n0:]), reverse=True)[:qa])]
+        best_b = [0.0, *itertools.accumulate(sorted(
+            map(adj.__getitem__, pools[1][n1:]), reverse=True)[:qb])
+                  ] if qb else [0.0]
+        max_coef = max(map(coef_term.__getitem__, cand[m:]))
+        floor = f[final] - _TIE_TOL
+        for b in range(qb, max(qb + 1 - len(best_b), 0) - 1, -1):
+            base, tail = b * width, best_b[qb - b]
+            # a state short of K items that can still reach the floor
+            if any(f[base + a] + best_a[qa - a] + tail
+                   + max_coef * (epre[k] - epre[a + b]) >= floor
+                   for a in range(min(qa, k - 1 - b),
+                                  max(qa + 1 - len(best_a), 0) - 1, -1)):
                 break
         else:
             break
         end = max(m + 1, int(m * _DP_GROWTH))
 
-    # g[i][t]: the best value of positions t.. from candidates pool[i:m]
-    g: list[list[float]] = [[]] * m + [[-math.inf] * k + [0.0]]
+    # g[i][s]: the best value of the positions from state s on, from
+    # candidates cand[i:m]. n0 and n1 count the candidates before i, r0 and
+    # r1 those from i on. Candidate i is taken from the states that reach it
+    # and leave the rest fillable: ``rows`` of them for a pool 0 item.
+    last = [-math.inf] * size
+    last[final] = 0.0
+    g: list[list[float]] = [last] * (m + 1)
+    r0 = r1 = 0
+    rows = range(qb * width, min(n1, qb) * width + 1, width)
     for i in range(m - 1, -1, -1):
-        a, c, nxt = adj[pool[i]], coef_term[pool[i]], g[i + 1]
+        j = cand[i]
+        x, c, nxt = adj[j], coef_term[j], g[i + 1]
         row = nxt[:]
-        for t in range(max(k - m + i, 0), min(i, k - 1) + 1):
-            v = (a + c * eweights[t]) + nxt[t + 1]
-            if v > row[t]:
-                row[t] = v
+        d = steps[j]
+        if d == 1:
+            n0 -= 1
+            r0 += 1
+            a_hi, bases = min(n0, qa - 1), rows
+        else:
+            n1 -= 1
+            r1 += 1
+            b_lo = max(qb - r1, 0) * width
+            a_hi = min(n0, qa)
+            bases = range(b_lo, min(n1, qb - 1) * width + 1, width)
+            rows = range(b_lo, min(n1, qb) * width + 1, width)
+        a_lo = max(qa - r0, 0)
+        for base in bases:
+            for s in range(base + a_lo, base + a_hi + 1):
+                v = (x + c * ecell[s]) + nxt[s + d]
+                if v > row[s]:
+                    row[s] = v
         g[i] = row
-    floor = f[k] - _TIE_TOL
+    floor = f[final] - _TIE_TOL
     chosen: list[int] = []
-    acc, i = 0.0, 0
+    acc, i, s = 0.0, 0, 0
     for t in range(k):
-        # the best completion is kept too: summed in another order than the
-        # last position's check, every completion can round below the floor
         pick, best = -1, -math.inf
         for h in range(i, m - k + t + 1):
-            j = pool[h]
-            v = acc + (adj[j] + coef_term[j] * eweights[t])
-            reach = v + g[h + 1][t + 1]
-            if reach >= floor and (pick < 0 or items[j] < items[pool[pick]]):
-                pick, pick_acc = h, v
-            if reach > best:
-                best, top, top_acc = reach, h, v
-        if pick < 0:
-            pick, pick_acc = top, top_acc
-        chosen.append(pool[pick])
-        acc, i = pick_acc, pick + 1
-    selected = [items[j] for j in chosen]
-    check_slots(problem, selected, sum(problem.is_repeat[j] for j in chosen))
+            j = cand[h]
+            reach = (acc + (adj[j] + coef_term[j] * eweights[t])
+                     + g[h + 1][s + steps[j]])
+            if reach >= floor and (pick < 0 or items[j] < pick_id):
+                pick, pick_id = h, items[j]
+            # summed in another order than the last position's check, every
+            # completion can round below the floor: the best one then
+            if pick < 0 and reach > best:
+                best, top = reach, h
+        h = pick if pick >= 0 else top
+        j = cand[h]
+        chosen.append(j)
+        acc += adj[j] + coef_term[j] * eweights[t]
+        i, s = h + 1, s + steps[j]
+    selected = list(map(items.__getitem__, chosen))
+    check_slots(problem, selected, sum(map(rep.__getitem__, chosen)))
     obj = indexed_objective_value(problem, chosen)
     return Selection(problem.user_id, selected, obj, "exposure_dp", nodes=m,
-                     wall_time=time.perf_counter() - start)
-
-
-def solve_branch_and_bound(problem: RerankProblem) -> Selection:
-    """Depth-first exact search over candidates in ranking order.
-
-    The search starts from no incumbent; taking candidates first makes its
-    first leaf the relevance-order basket. A node is pruned when its value
-    so far plus an admissible bound on the rest falls below the incumbent.
-    """
-    start = time.perf_counter()
-    pools, quotas = _checked_pools(problem)
-    n, items = problem.n_candidates, problem.items
-    pool = [0] * n
-    for j in pools[1]:
-        pool[j] = 1
-    pd = _position_dependent(problem)
-    adj = _adjusted_values(problem)
-    coef_term = ([-problem.alpha_eff * c for c in problem.fairness_coef]
-                 if pd else [0.0] * n)
-    eps_k = problem.epsilon_eff / problem.k
-    cat_ids: dict[str, int] = {}
-    catbit = [1 << cat_ids.setdefault(c, len(cat_ids)) for c in problem.category]
-    eweights = problem.exposure.weights(sum(quotas))
-    epre = list(itertools.accumulate(eweights, initial=0.0))
-
-    # Suffix structures indexed by candidate position. top[p][j] lists the
-    # sums of pool p's best adjusted values from candidate j on, for 0 up to
-    # min(candidates left, quota) items; its length bounds the slots p can
-    # still fill. Candidate j rebuilds only its own pool's list.
-    catmask = [0] * (n + 1)
-    max_coef = [-math.inf] * (n + 1)
-    top = [[[0.0]] * (n + 1) for _ in (0, 1)]
-    neg_sorted: list[list[float]] = [[], []]  # negated values, ascending
-    for j in range(n - 1, -1, -1):
-        p = pool[j]
-        catmask[j] = catmask[j + 1] | catbit[j]
-        max_coef[j] = max(max_coef[j + 1], coef_term[j])
-        bisect.insort(neg_sorted[p], -adj[j])
-        sums = [0.0]
-        for v in neg_sorted[p][:quotas[p]]:
-            sums.append(sums[-1] - v)
-        top[p][j] = sums
-        top[1 - p][j] = top[1 - p][j + 1]
-
-    best_obj = -math.inf
-    best_seq: tuple[str, ...] = ()
-    nodes = prunes = 0
-    chosen: list[str] = []
-
-    def dfs(idx: int, t: int, rem0: int, rem1: int, covered: int,
-            acc: float) -> None:
-        nonlocal best_obj, best_seq, nodes, prunes
-        nodes += 1
-        if rem0 == 0 and rem1 == 0:
-            seq = tuple(chosen)
-            if _better(acc, seq, best_obj, best_seq):
-                best_obj, best_seq = acc, seq
-            return
-        top0, top1 = top[0][idx], top[1][idx]
-        if len(top0) <= rem0 or len(top1) <= rem1:
-            return  # a pool has too few candidates left
-        # bound: each pool's best values, a new category per slot and the
-        # best fairness coefficient at every remaining position
-        rem = rem0 + rem1
-        bound = top0[rem0] + top1[rem1]
-        if eps_k:
-            bound += eps_k * min(rem, (catmask[idx] & ~covered).bit_count())
-        if pd:
-            bound += max_coef[idx] * (epre[t + rem] - epre[t])
-        if acc + bound < best_obj - _TIE_TOL:
-            prunes += 1
-            return
-        p = pool[idx]
-        if (rem0 if p == 0 else rem1) > 0:
-            gain = adj[idx]
-            if eps_k and not (covered & catbit[idx]):
-                gain += eps_k
-            if pd:
-                gain += coef_term[idx] * eweights[t]
-            chosen.append(items[idx])
-            dfs(idx + 1, t + 1, rem0 - (p == 0), rem1 - (p == 1),
-                covered | catbit[idx], acc + gain)
-            chosen.pop()
-        dfs(idx + 1, t, rem0, rem1, covered, acc)
-
-    dfs(0, 0, quotas[0], quotas[1], 0, 0.0)
-    # dfs reaches itself through its closure; without the cycle, reference
-    # counting frees the search structures also when cyclic GC is paused
-    del dfs
-    final_items = list(best_seq)
-    obj = objective_value(problem, final_items)
-    return Selection(problem.user_id, final_items, obj, "branch_and_bound",
-                     nodes=nodes, prunes=prunes,
                      wall_time=time.perf_counter() - start)
 
 
@@ -617,7 +613,8 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
     from itertools import combinations, product
 
     if _combination_count(problem) > _BRUTE_GUARD:
-        raise SolverError("enumeration too large; use branch_and_bound")
+        raise SolverError("enumeration too large for the brute-force oracle; "
+                          "use solve")
     start = time.perf_counter()
     pools, quotas = _pools(problem)
 
@@ -641,14 +638,12 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
 
 
 def solve(problem: RerankProblem) -> Selection:
-    """The user's exact basket: the closed form where it applies
-    (``_closed_form_applicable``), else the exposure DP for one pool with
-    slots and no coverage term, else branch-and-bound."""
-    if _closed_form_applicable(problem):
-        return solve_topk_linear(problem)
-    if not problem.epsilon_eff and _one_pool(problem):
+    """The user's exact basket: the exposure DP when the fairness term
+    depends on position, else the closed form, additive or with coverage
+    (no objective kind has both)."""
+    if _position_dependent(problem):
         return solve_exposure_dp(problem)
-    return solve_branch_and_bound(problem)
+    return solve_topk_linear(problem)
 
 
 def rerank_all(problems: list[RerankProblem], skip_errors: bool = False

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import importlib.util
 import itertools
@@ -13,15 +14,13 @@ from basket_rerank.objective import (OBJECTIVE_KINDS, ExposureModel,
                                      build_unified_problem, objective_value)
 from basket_rerank import solver as solver_module
 from basket_rerank.scorer import CandidateSet
-from basket_rerank.solver import (rerank_all, solve, solve_branch_and_bound,
-                                  solve_bruteforce, solve_exposure_dp,
-                                  solve_topk_linear)
+from basket_rerank.solver import (rerank_all, solve, solve_bruteforce,
+                                  solve_exposure_dp, solve_topk_linear)
 from tests.conftest import toy_path
 from tests.synth import random_combined_instance, random_unified_instance
 from tests.test_objective import combined_cands, groups_for, unified_cands
 
-TWO_POOL_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures",
-                            "two_pool")
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def small_problem(objective_kind="radiv", **cfg_kwargs):
@@ -67,14 +66,6 @@ class TestTopkLinear:
         n_rep = sum(1 for i in sel.items if i in {"a", "c"})
         assert n_rep == 0
 
-    def test_rejects_diversity_term(self):
-        # a diversity term with a choice in both pools: one slot for two
-        # candidates in each
-        p = two_pool_problem(epsilon=0.5)
-        assert (p.repeat_slots, p.explore_slots) == (1, 1)
-        with pytest.raises(UsageError):
-            solve_topk_linear(p)
-
     def test_rejects_positional_fairness(self):
         p = small_problem(objective_kind="raif", alpha=1.0,
                           exposure=ExposureModel("log_discount"))
@@ -83,15 +74,18 @@ class TestTopkLinear:
 
 
 class TestBranchAndBound:
+    """The cases the deleted branch-and-bound search was checked on, now
+    solved by ``solve``'s own paths."""
+
     def test_matches_linear_subclass(self):
         for seed in range(30):
             p, _ = random_unified_instance(seed, n=8, k=3,
                                            exposure_kind="uniform")
             if p.epsilon_eff != 0:
                 continue
-            a = solve_branch_and_bound(p)
+            a = solve_bruteforce(p)
             b = solve_topk_linear(p)
-            assert abs(a.objective - b.objective) < 1e-9
+            assert (a.items, a.objective) == (b.items, b.objective)
 
     def test_single_category_matches_plain(self):
         scores = {"a": 0.9, "b": 0.7, "c": 0.5}
@@ -99,18 +93,17 @@ class TestBranchAndBound:
         cfg = RerankConfig(k=2, n=3, epsilon=5.0, objective_kind="radiv")
         p = build_unified_problem("u", unified_cands(scores), {},
                                   groups_for("abc", "a"), cats, cfg)
-        assert solve_branch_and_bound(p).items == ["a", "b"]
+        assert solve(p).items == ["a", "b"]
 
     def test_degenerate_identity(self):
         p = small_problem()
-        assert solve_branch_and_bound(p).items == ["a", "b"]
+        assert solve(p).items == ["a", "b"]
 
     def test_objective_consistent(self):
         for seed in range(20):
             p, _ = random_unified_instance(seed, n=9, k=4)
-            sel = solve_branch_and_bound(p)
-            assert sel.objective == pytest.approx(
-                objective_value(p, sel.items), abs=1e-9)
+            sel = solve(p)
+            assert sel.objective == objective_value(p, sel.items)
 
     def test_tie_broken_lexicographically(self):
         # b and c are interchangeable: same relevance, category, flags
@@ -119,8 +112,7 @@ class TestBranchAndBound:
         cfg = RerankConfig(k=2, n=3, epsilon=0.4, objective_kind="radiv")
         p = build_unified_problem("u", unified_cands(scores), {},
                                   groups_for("abc", "a"), cats, cfg)
-        assert solve_branch_and_bound(p).items == \
-            solve_bruteforce(p).items == ["a", "b"]
+        assert solve(p).items == solve_bruteforce(p).items == ["a", "b"]
 
 
 class TestBruteforce:
@@ -142,7 +134,7 @@ class TestBruteforce:
         cfg = RerankConfig(k=20, n=100)
         p = build_unified_problem("u", unified_cands(scores), {},
                                   groups_for(scores, list(scores)[:5]), {}, cfg)
-        with pytest.raises(SolverError, match="branch_and_bound"):
+        with pytest.raises(SolverError, match="use solve"):
             solve_bruteforce(p)
 
 
@@ -150,23 +142,25 @@ class TestCombined:
     def test_budget_exactness(self):
         for seed in range(60):
             p, _ = random_combined_instance(seed, n_repeat=6, n_explore=6, k=4)
-            sel = solve_branch_and_bound(p)
+            sel = solve(p)
             rep_items = {p.items[j] for j in range(p.n_candidates)
                          if p.is_repeat[j]}
             assert sum(1 for i in sel.items if i in rep_items) == p.repeat_slots
+            assert sel.items == solve_bruteforce(p).items, f"seed {seed}"
 
     def test_h_equals_k_uses_repeat_pool_only(self):
         p, _ = random_combined_instance(0, n_repeat=8, n_explore=4, k=3,
                                         theta=-1.0)
         assert p.repeat_slots == 3
-        sel = solve_branch_and_bound(p)
+        sel = solve(p)
         assert all(i.startswith("r") for i in sel.items)
 
     def test_small_slots_vs_enumeration(self):
         p, _ = random_combined_instance(5, n_repeat=4, n_explore=3, k=3,
                                         theta=None)
         brute = solve_bruteforce(p)
-        assert abs(solve_branch_and_bound(p).objective - brute.objective) < 1e-9
+        sel = solve(p)
+        assert (sel.items, sel.objective) == (brute.items, brute.objective)
 
 
 class TestScalarizationMonotonicity:
@@ -177,7 +171,7 @@ class TestScalarizationMonotonicity:
             for lam in [0.0, 0.1, 0.3, 0.6, 1.0]:
                 p = small_problem(lam=lam, sign_mode=sign, k=3,
                                   exposure=ExposureModel("uniform"))
-                sel = solve_branch_and_bound(p)
+                sel = solve(p)
                 counts.append(sum(1 for i in sel.items if i in {"a", "c"}))
             assert all(cmp(a, b) for a, b in zip(counts, counts[1:]))
 
@@ -185,7 +179,7 @@ class TestScalarizationMonotonicity:
         covs = []
         for eps in [0.0, 0.1, 0.3, 0.8, 2.0]:
             p = small_problem(epsilon=eps, k=3)
-            sel = solve_branch_and_bound(p)
+            sel = solve(p)
             idx = {i: j for j, i in enumerate(p.items)}
             covs.append(len({p.category[idx[i]] for i in sel.items}))
         assert all(a <= b for a, b in zip(covs, covs[1:]))
@@ -276,20 +270,21 @@ def test_auto_engine_dispatch():
         small_problem(objective_kind="naive_fair", **log_discount),
         two_pool_problem(theta=1.0, objective_kind="raif", **log_discount),
     ]
-    for p in one_pool_exposure:
+    # slots in both pools
+    two_pool_exposure = two_pool_problem(objective_kind="raif", **log_discount)
+    assert (two_pool_exposure.repeat_slots,
+            two_pool_exposure.explore_slots) == (1, 1)
+    for p in one_pool_exposure + [two_pool_exposure]:
         sel = solve(p)
         # nodes: the candidates of the certified prefix
         assert sel.solver_tag == "exposure_dp"
         assert p.total_slots <= sel.nodes <= p.n_candidates
-        assert sel.prunes == 0
-    search = [
-        two_pool_problem(epsilon=0.2),
-        two_pool_problem(objective_kind="raif", **log_discount),
-    ]
-    for p in search:
-        # a choice in both pools
-        assert (p.repeat_slots, p.explore_slots) == (1, 1)
-        assert solve(p).solver_tag == "branch_and_bound"
+    # a choice in both pools: the Lagrangian search evaluates its two ends
+    # and at least one point between them
+    p = two_pool_problem(epsilon=0.2)
+    assert (p.repeat_slots, p.explore_slots) == (1, 1)
+    sel = solve(p)
+    assert sel.solver_tag == "topk_linear" and sel.nodes >= 3
 
 
 def tie_heavy_problem(seed, kind, objective_kind, exposure):
@@ -323,20 +318,16 @@ def tie_heavy_problem(seed, kind, objective_kind, exposure):
 def test_tie_heavy_matches_oracle(kind, objective_kind, exposure):
     for seed in range(60):
         p = tie_heavy_problem(seed, kind, objective_kind, exposure)
-        oracle = solve_bruteforce(p)
-        for sel in (solve(p), solve_branch_and_bound(p)):
-            assert sel.items == oracle.items, f"seed {seed} {sel.solver_tag}"
-            assert sel.objective == pytest.approx(oracle.objective, abs=1e-9)
-            # the closed form scores its own basket, in objective_value's
-            # float order
-            assert sel.objective == objective_value(p, sel.items)
+        oracle, sel = solve_bruteforce(p), solve(p)
+        assert sel.items == oracle.items, f"seed {seed} {sel.solver_tag}"
+        # each path scores its own basket, in objective_value's float order
+        assert sel.objective == oracle.objective, f"seed {seed}"
 
 
 @pytest.mark.parametrize("kind", ["unified", "combined"])
 def test_closed_form_rejects_broken_slot_counts(kind, monkeypatch):
     # a tie fill that adds nothing leaves a pool one item short
-    monkeypatch.setattr(solver_module, "_fill_ties",
-                        lambda problem, forced, ties: [])
+    monkeypatch.setattr(solver_module, "_fill_ties", lambda *args: [])
     p = tie_heavy_problem(0, kind, "repeat_only", "uniform")
     with pytest.raises(UsageError, match="selection size|slot violation"):
         solve_topk_linear(p)
@@ -362,7 +353,7 @@ def test_rounding_tie_goes_to_smaller_sequence():
     p = build_unified_problem("u", unified_cands(scores),
                               {"u": frozenset({"b"})},
                               groups_for("bma", "b"), {}, cfg)
-    for solver in (solve_topk_linear, solve_branch_and_bound, solve_bruteforce):
+    for solver in (solve_topk_linear, solve_bruteforce):
         assert solver(p).items == ["b", "m"], solver.__name__
 
 
@@ -425,40 +416,35 @@ def test_one_pool_coverage_matches_oracle(kind, epsilon):
         assert sel.objective == oracle.objective, f"seed {seed}"
 
 
+def frozen_reference(directory, sets):
+    """(problem, items, repr of the objective) for every user of ``sets``
+    in ``fixtures/<directory>/golden_bnb.tsv``: branch-and-bound's answers,
+    frozen before that search was deleted, past brute force's reach."""
+    regen = load_regen(os.path.join(FIXTURES, directory, "regen.py"))
+    with open(regen.GOLDEN, encoding="utf-8") as fh:
+        golden = [line.rstrip("\n").split("\t") for line in fh]
+    problems = regen.golden_problems()
+    assert len(golden) == len(problems)
+    out = []
+    for (name, uid, items, obj), (set_name, p) in zip(golden, problems):
+        assert (name, uid) == (set_name, p.user_id)
+        if name in sets:
+            out.append((p, items.split(","), obj))
+    return out
+
+
 def test_coverage_closed_form_matches_branch_and_bound():
-    # past brute force's reach: N=40, K=10, scores from nine levels. "whole"
-    # problems take 1-9 candidates whole, as the repeat pool (odd seeds) or
-    # the explore pool (even seeds), and leave the other pool a choice.
-    for kind, seed in [("unified", seed) for seed in range(80)] + \
-            [("whole", seed) for seed in range(40)]:
-        rng = random.Random(seed)
-        ids = [f"i{j:03d}" for j in rng.sample(range(1000), 40)]
-        scores = {i: rng.randint(1, 9) / 10 for i in ids}
-        n_cats = rng.randint(2, 8)
-        cats = {i: f"c{rng.randrange(n_cats)}" for i in ids}
-        cfg = RerankConfig(
-            k=10, n=40, epsilon=rng.choice((0.05, 0.2, 0.5, 1.0)),
-            lam=rng.choice((0.0, 0.2, 0.4)),
-            objective_kind=rng.choice(("radiv", "naive_div")),
-            sign_mode=rng.choice(("penalize_repeat", "reward_repeat")),
-            theta=-1.0 if seed % 2 else 2.0)
-        groups = groups_for(ids, ids[:10])
-        if kind == "unified":
-            reps = {"u": frozenset(i for i in ids if rng.random() < 0.4)}
-            p = build_unified_problem("u", unified_cands(scores, n=40), reps,
-                                      groups, cats, cfg)
-        else:
-            w = rng.randint(1, 9)
-            whole = {i: scores[i] for i in ids[:w]}
-            rest = {i: scores[i] for i in ids[w:]}
-            rep, exp = (whole, rest) if seed % 2 else (rest, whole)
-            p = build_combined_problem("u", combined_cands(rep, exp), {},
-                                       groups, cats, cfg)
-            assert (p.repeat_slots if seed % 2 else p.explore_slots) == w
-        sel, ref = solve(p), solve_branch_and_bound(p)
+    # N=40, K=10, scores from nine levels. "whole" problems take 1-9
+    # candidates whole, as the repeat pool (odd seeds) or the explore pool
+    # (even seeds), and leave the other pool a choice.
+    reference = frozen_reference("one_pool", ("coverage-unified",
+                                              "coverage-whole"))
+    assert len(reference) == 120
+    for p, items, obj in reference:
+        sel = solve(p)
         assert sel.solver_tag == "topk_linear"
-        assert sel.items == ref.items, f"seed {seed}"
-        assert sel.objective == ref.objective, f"seed {seed}"
+        assert sel.items == items, p.user_id
+        assert repr(sel.objective) == obj, p.user_id
 
 
 def general_fill_problem(seed, kind):
@@ -589,25 +575,157 @@ def test_exposure_dp_grows_prefix_to_every_candidate(kind):
 
 @pytest.mark.parametrize("k", [12, 20])
 def test_exposure_dp_matches_branch_and_bound(k):
-    # past brute force's reach: N=100, scores from nine levels
-    for seed in range(40):
-        rng = random.Random(seed)
-        ids = [f"i{j:03d}" for j in rng.sample(range(1000), 100)]
-        scores = {i: rng.randint(1, 9) / 10 for i in ids}
-        cfg = RerankConfig(
-            k=k, n=100, alpha=rng.choice((0.5, 1.0, 5.0, 20.0)),
-            lam=rng.choice((0.0, 0.2, 0.4)),
-            objective_kind=rng.choice(("raif", "naive_fair")),
-            sign_mode=rng.choice(("penalize_repeat", "reward_repeat")),
-            exposure=ExposureModel("log_discount"))
-        reps = {"u": frozenset(i for i in ids if rng.random() < 0.4)}
-        p = build_unified_problem("u", unified_cands(scores), reps,
-                                  groups_for(ids, rng.sample(ids, 20)), {},
-                                  cfg)
-        sel, ref = solve(p), solve_branch_and_bound(p)
+    # N=100, scores from nine levels, unified raif or naive_fair
+    reference = frozen_reference("one_pool", (f"exposure-k{k}",))
+    assert len(reference) == 40
+    for p, items, obj in reference:
+        sel = solve(p)
         assert sel.solver_tag == "exposure_dp"
-        assert sel.items == ref.items, f"seed {seed}"
-        assert sel.objective == ref.objective, f"seed {seed}"
+        assert sel.items == items, p.user_id
+        assert repr(sel.objective) == obj, p.user_id
+
+
+def two_pool_problem_with_choice(seed, kind, epsilon=None):
+    """A combined problem with more candidates than slots in both pools:
+    2-7 candidates a pool, 2-4 score levels or continuous scores, 1-5
+    categories, both sign modes and ids that do not follow rank order.
+    "coverage" problems are radiv or naive_div, with ``epsilon`` or one
+    drawn from 1e-12 to 1 and the gap between score levels; "exposure"
+    ones are log-discount raif or naive_fair."""
+    rng = random.Random(seed)
+    quantized = rng.random() < 0.6
+    levels = rng.sample((0.2, 0.4, 0.6, 0.8), rng.randint(2, 4))
+    score = (lambda: rng.choice(levels)) if quantized else rng.random
+    n_rep, n_exp = rng.randint(2, 7), rng.randint(2, 7)
+    h, e = rng.randint(1, n_rep - 1), rng.randint(1, n_exp - 1)
+    k = h + e
+    ids = [f"i{j:02d}" for j in rng.sample(range(100), n_rep + n_exp)]
+    n_cats = rng.randint(1, 5)
+    cats = {i: f"c{rng.randrange(n_cats)}" for i in ids}
+    # a weight of gap * K moves an adjusted value by one level's gap
+    gap = abs(levels[0] - levels[1]) * k
+    common = dict(k=k, n=len(ids), lam=rng.choice((0.0, 0.2, gap)),
+                  sign_mode=rng.choice(("penalize_repeat", "reward_repeat")))
+    if kind == "coverage":
+        if epsilon is None:
+            epsilon = rng.choice((1e-12, 1e-9, 0.05, 0.2, 1.0, gap, gap / 2))
+        cfg = RerankConfig(epsilon=epsilon, exposure=ExposureModel("uniform"),
+                           objective_kind=rng.choice(("radiv", "naive_div")),
+                           **common)
+    else:
+        cfg = RerankConfig(alpha=rng.choice((0.2, 1.0, 2.0, 10.0)),
+                           exposure=ExposureModel("log_discount"),
+                           objective_kind=rng.choice(("raif", "naive_fair")),
+                           **common)
+    p = build_combined_problem(
+        "u", combined_cands({i: score() for i in ids[:n_rep]},
+                            {i: score() for i in ids[n_rep:]}), {},
+        groups_for(ids, rng.sample(ids, rng.randint(1, 3))), cats, cfg)
+    # the H(theta) split does not matter here: set the slots directly
+    return dataclasses.replace(p, repeat_slots=h, explore_slots=e)
+
+
+@pytest.mark.parametrize("epsilon", [None, 1e-12, 1.0])
+def test_two_pool_coverage_matches_oracle(epsilon):
+    for seed in range(600):
+        p = two_pool_problem_with_choice(seed, "coverage", epsilon)
+        sel, oracle = solve(p), solve_bruteforce(p)
+        # the two ends of the Lagrangian search and a point between them
+        assert sel.solver_tag == "topk_linear" and sel.nodes >= 3
+        assert sel.items == oracle.items, f"seed {seed}"
+        assert sel.objective == oracle.objective, f"seed {seed}"
+
+
+def test_two_pool_exposure_dp_matches_oracle():
+    for seed in range(600):
+        p = two_pool_problem_with_choice(seed, "exposure")
+        sel, oracle = solve(p), solve_bruteforce(p)
+        assert sel.solver_tag == "exposure_dp"
+        assert sel.items == oracle.items, f"seed {seed}"
+        assert sel.objective == oracle.objective, f"seed {seed}"
+
+
+def test_lagrangian_search_is_bounded(monkeypatch):
+    # a cut whose count range never holds the explore quota ends the search
+    # after K + 1 evaluations with a solver error, not in an endless loop
+    cuts = []
+    monkeypatch.setattr(solver_module, "_coverage_cut",
+                        lambda problem, pool, quota, adj, taken:
+                        cuts.append(1) or ([], [], [0.0] * len(pool)))
+    p = two_pool_problem(epsilon=0.2)
+    with pytest.raises(SolverError, match="did not converge"):
+        solve(p)
+    assert len(cuts) == p.total_slots + 1
+
+
+def walk_instance(seed):
+    """Tie groups for ``_walk_ties`` over up to nine candidates of two
+    pools, in candidate order (relevance desc, id asc) with ids that do not
+    follow that order: forced candidates, groups with random lo and hi, and
+    each pool's slots left, taken from one random completion."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    ranked = sorted((-rng.choice((0.2, 0.4, 0.6)), f"i{j:02d}")
+                    for j in rng.sample(range(100), n))
+    problem = dataclasses.replace(
+        two_pool_problem(), items=[i for _, i in ranked],
+        relevance=[-r for r, _ in ranked],
+        is_repeat=[rng.random() < 0.5 for _ in ranked])
+    forced, members = [], [[] for _ in range(rng.randint(1, 3))]
+    for j in range(n):
+        role = rng.randrange(len(members) + 2)
+        if role == 0:
+            forced.append(j)
+        elif role > 1:
+            members[role - 2].append(j)
+    groups, left = [], [0, 0]
+    for group in members:
+        lo = rng.randint(0, len(group))
+        hi = rng.randint(max(lo, 1), len(group)) if group else 0
+        for j in rng.sample(group, rng.randint(lo, hi)):
+            left[not problem.is_repeat[j]] += 1
+        groups.append((group, lo, hi))
+    return problem, forced, left, groups
+
+
+def test_walk_ties_matches_enumeration():
+    # the tie walk against every choice of group members that meets the
+    # groups' bounds and both pools' slots left
+    for seed in range(6000):
+        problem, forced, left, groups = walk_instance(seed)
+        best = None
+        for counts in itertools.product(*[range(lo, hi + 1)
+                                          for _, lo, hi in groups]):
+            for picks in itertools.product(*[
+                    itertools.combinations(group, c)
+                    for (group, _, _), c in zip(groups, counts)]):
+                chosen = [j for pick in picks for j in pick]
+                explore = sum(not problem.is_repeat[j] for j in chosen)
+                if [len(chosen) - explore, explore] != left:
+                    continue
+                seq = [problem.items[j] for j in sorted(forced + chosen)]
+                best = seq if best is None else min(best, seq)
+        fills = [solver_module._walk_ties]
+        # _fill_ties takes groups that hold members of one pool
+        if all(len({problem.is_repeat[j] for j in group}) < 2
+               for group, _, _ in groups):
+            fills.append(solver_module._fill_ties)
+        for fill in fills:
+            taken = fill(problem, forced, left, groups)
+            assert [problem.items[j] for j in sorted(forced + taken)] == \
+                best, f"seed {seed} {fill.__name__}"
+
+
+def test_walk_ties_keeps_the_member_the_pools_need():
+    # candidate 0 is the only member of its group in the repeat pool, and
+    # the forced candidate 1 fills the explore pool, so the repeat slot
+    # needs candidate 0. Candidate 1's smaller id must not be taken first,
+    # which would skip candidate 0.
+    problem = dataclasses.replace(two_pool_problem(), items=["m", "a", "x"],
+                                  relevance=[0.8, 0.6, 0.4],
+                                  is_repeat=[True, False, False])
+    assert solver_module._walk_ties(problem, [1], [1, 0],
+                                    [([0, 2], 1, 1)]) == [0]
 
 
 def test_exposure_dp_floor_out_of_reach(monkeypatch):
@@ -623,8 +741,11 @@ def test_exposure_dp_floor_out_of_reach(monkeypatch):
 
 
 def test_exposure_dp_rejects_out_of_scope_problems():
+    # no objective kind has both a diversity and a fairness term
+    both = dataclasses.replace(small_problem("raif", alpha=1.0),
+                               epsilon_eff=0.2)
     with pytest.raises(UsageError, match="exposure DP"):
-        solve_exposure_dp(two_pool_problem(objective_kind="raif", alpha=1.0))
+        solve_exposure_dp(both)
     with pytest.raises(UsageError, match="exposure DP"):
         solve_exposure_dp(small_problem(epsilon=0.2))
     with pytest.raises(UsageError, match="exposure DP"):
@@ -632,22 +753,32 @@ def test_exposure_dp_rejects_out_of_scope_problems():
                                         exposure=ExposureModel("uniform")))
 
 
-def test_solves_leave_no_cyclic_garbage():
+def test_solves_leave_no_cyclic_garbage(monkeypatch):
     # the CLI pauses cyclic collection for a verb, so every solve must free
-    # its search structures by reference counting alone
+    # its search structures by reference counting alone: the closed form
+    # with and without the Lagrangian search and the tie walk, and the
+    # exposure DP with one and two pools
     problems = [random_combined_instance(seed, n_repeat=6, n_explore=6, k=4)[0]
                 for seed in range(5)]
     problems += [one_pool_exposure_problem(seed, "unified", "raif")
                  for seed in range(3)]
+    problems += [two_pool_problem_with_choice(seed, kind)
+                 for seed in range(12) for kind in ("coverage", "exposure")]
     problems.append(small_problem(epsilon=0.2))
+    walks = []
+    walk = solver_module._walk_ties
+    monkeypatch.setattr(solver_module, "_walk_ties",
+                        lambda *args: walks.append(1) or walk(*args))
     collecting = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        for p in problems:
-            solve(p)
-            solve_branch_and_bound(p)
+        tags = {(sel.solver_tag, sel.nodes > 0)
+                for sel in map(solve, problems)}
         assert gc.collect() == 0
+        assert tags == {("topk_linear", False), ("topk_linear", True),
+                        ("exposure_dp", True)}
+        assert walks
     finally:
         if collecting:
             gc.enable()
@@ -671,7 +802,7 @@ def test_toy_golden_is_oracle_output(tmp_path):
 def test_two_pool_golden_matches_solve():
     # branch-and-bound's frozen answers on full-size two-pool problems: the
     # same items and a bit-equal objective from whatever path solve takes
-    regen = load_regen(os.path.join(TWO_POOL_DIR, "regen.py"))
+    regen = load_regen(os.path.join(FIXTURES, "two_pool", "regen.py"))
     with open(regen.GOLDEN, encoding="utf-8") as fh:
         golden = [line.rstrip("\n").split("\t") for line in fh]
     problems = regen.golden_problems()
