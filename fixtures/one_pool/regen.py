@@ -36,14 +36,14 @@ GOLDEN = os.path.join(HERE, "golden_bnb.tsv")
 
 def _groups(items, popular) -> ItemGroups:
     popular = set(popular)
-    return ItemGroups(popular, set(items) - popular, {i: 1 for i in items})
+    return ItemGroups(popular, set(items) - popular)
 
 
 def _cands(uid: str, **lists) -> CandidateSet:
     if "unified" in lists:
-        return CandidateSet(kind="unified", n=100, unified={
+        return CandidateSet(kind="unified", unified={
             uid: rank_pairs(list(lists["unified"].items()), 100)})
-    return CandidateSet(kind="combined", n=100, repeat_list={
+    return CandidateSet(kind="combined", repeat_list={
         uid: rank_pairs(list(lists["rep"].items()), 100)}, explore_list={
         uid: rank_pairs(list(lists["exp"].items()), 100)})
 

@@ -68,7 +68,7 @@ def _set_problems(index: int, construction: str, kind: str,
     users, n, k, levels, n_cats, h = _CONSTRUCTIONS[construction]
     rng = random.Random(SEED + index)
     popular = set(ITEMS[:100])
-    groups = ItemGroups(popular, set(ITEMS) - popular, {})
+    groups = ItemGroups(popular, set(ITEMS) - popular)
     categories = {i: f"c{rng.randrange(n_cats)}" for i in ITEMS}
     cfg = RerankConfig(k=k, n=n, exposure=ExposureModel("log_discount"),
                        objective_kind=kind, **weights)
@@ -87,7 +87,7 @@ def _set_problems(index: int, construction: str, kind: str,
         else:
             reps = frozenset(i for i in cand if rng.random() < 0.4)
             slots = h
-        cands = CandidateSet(kind="unified", n=n, unified={uid: pairs})
+        cands = CandidateSet(kind="unified", unified={uid: pairs})
         p = build_unified_problem(uid, cands, {uid: reps}, groups,
                                   categories, cfg)
         problems.append(dataclasses.replace(

@@ -44,12 +44,6 @@ class BasketDataset:
     def user_ids(self) -> list[str]:
         return [u.user_id for u in self.users]
 
-    def user(self, user_id: str) -> UserHistory:
-        for u in self.users:
-            if u.user_id == user_id:
-                return u
-        raise KeyError(user_id)
-
     def n_baskets(self) -> int:
         return sum(len(u.baskets) for u in self.users)
 
@@ -67,7 +61,6 @@ class SplitDataset:
 class ItemGroups:
     popular: set[str]
     unpopular: set[str]
-    popularity_counts: dict[str, int]
 
 
 RepeatSets = dict[str, frozenset[str]]
@@ -332,9 +325,7 @@ def build_item_groups(train: BasketDataset, top_fraction: float = 0.2) -> ItemGr
     ranked = sorted(counts)
     ranked.sort(key=counts.__getitem__, reverse=True)
     n_pop = math.ceil(top_fraction * len(ranked))
-    popular = set(ranked[:n_pop])
-    unpopular = set(ranked[n_pop:])
-    return ItemGroups(popular, unpopular, dict(counts))
+    return ItemGroups(set(ranked[:n_pop]), set(ranked[n_pop:]))
 
 
 def ground_truth_repeat_ratio(targets: SplitDataset, reps: RepeatSets) -> float:

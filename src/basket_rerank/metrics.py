@@ -52,20 +52,26 @@ class MetricsReport:
     @classmethod
     def from_dict(cls, d: dict, source: str = "report") -> "MetricsReport":
         """Rebuild a report from ``to_dict`` output; DataError when ``d``
-        lacks a metric or holds a non-numeric one."""
+        lacks a metric, holds a non-numeric one, or has a config whose K or
+        omega is not a number (a JSON boolean is not a number)."""
         if not isinstance(d, dict):
             raise DataError(f"{source}: not a metrics report (a JSON object)")
         for key in _REPORT_METRICS:
             if key not in d:
                 raise DataError(f"{source}: metrics report lacks {key!r}")
-            if not isinstance(d[key], (int, float)):
-                raise DataError(f"{source}: {key!r} is not a number: {d[key]!r}")
-        if not isinstance(d.get("config", {}), dict):
+        config = d.get("config", {})
+        if not isinstance(config, dict):
             raise DataError(f"{source}: 'config' is not a JSON object")
+        numbers = [(repr(key), d[key]) for key in _REPORT_METRICS]
+        numbers += [(f"config {key!r}", config[key]) for key in ("k", "omega")
+                    if key in config]
+        for what, value in numbers:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise DataError(f"{source}: {what} is not a number: {value!r}")
         return cls(recall=d["recall"], ds=d["ds"], log_dp=d["log_dp"],
                    rep_ratio_rec=d["rep_ratio_rec"], rep_bias=d["rep_bias"],
                    m_fr=d["m_fr"], m_dr=d["m_dr"], n_users=d["n_users"],
-                   config=d.get("config", {}), per_user=d.get("per_user"))
+                   config=config, per_user=d.get("per_user"))
 
 
 def _basket_lists(baskets: RerankedBaskets | dict[str, list[str]]

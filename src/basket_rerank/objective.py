@@ -106,7 +106,6 @@ class RerankProblem:
     kind: str                   # "unified" or "combined"
     repeat_slots: int           # unified: total slots live here with explore_slots=0
     explore_slots: int
-    short: bool
     # effective weights, already gated by objective_kind
     rel_scale: float
     epsilon_eff: float
@@ -119,6 +118,11 @@ class RerankProblem:
     @property
     def total_slots(self) -> int:
         return self.repeat_slots + self.explore_slots
+
+    @property
+    def short(self) -> bool:
+        """Do both pools together hold fewer candidates than K?"""
+        return self.total_slots < self.k
 
     @property
     def n_candidates(self) -> int:
@@ -184,7 +188,7 @@ def build_unified_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
         category=[categories.get(i, "UNK") for i in items],
         fairness_coef=_fairness_coefs(items, groups),
         kind="unified",
-        repeat_slots=cfg.k, explore_slots=0, short=False,
+        repeat_slots=cfg.k, explore_slots=0,
         rel_scale=rel_scale, epsilon_eff=eps, alpha_eff=alpha,
         signed_lambda=slam, k=cfg.k, exposure=cfg.exposure,
         objective_kind=cfg.objective_kind)
@@ -202,19 +206,19 @@ def compute_h_theta(repeat_scores: list[float], theta: float, k: int,
 
 
 def _slot_split(rep_pairs: list[tuple[str, float]], n_explore: int,
-                cfg: RerankConfig) -> tuple[int, int, bool]:
-    """Repeat slots, explore slots and shortness of one combined basket.
+                cfg: RerankConfig) -> tuple[int, int]:
+    """Repeat and explore slots of one combined basket.
 
     H(theta) repeat slots, raised when the explore list cannot fill K - H;
-    if both pools together cannot fill K, the basket is short and every
-    candidate gets a slot.
+    if both pools together cannot fill K, every candidate gets a slot and
+    the slots sum below K (the problem is ``short``).
     """
     h = compute_h_theta([s for _, s in rep_pairs], cfg.theta, cfg.k,
                         cfg.theta_strict)
     h = max(h, cfg.k - n_explore)
     if h > len(rep_pairs):
-        return len(rep_pairs), n_explore, True
-    return h, cfg.k - h, False
+        return len(rep_pairs), n_explore
+    return h, cfg.k - h
 
 
 def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
@@ -235,7 +239,7 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
     if not rep_pairs and not exp_pairs:
         raise DataError(f"user {user_id!r} absent from candidate set")
 
-    h, explore_slots, short = _slot_split(rep_pairs, len(exp_pairs), cfg)
+    h, explore_slots = _slot_split(rep_pairs, len(exp_pairs), cfg)
 
     # merged candidate list in within-basket ranking order; an id in both
     # pools keeps its repeat entry first
@@ -252,7 +256,7 @@ def build_combined_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
         category=[categories.get(i, "UNK") for i in items],
         fairness_coef=_fairness_coefs(items, groups),
         kind="combined",
-        repeat_slots=h, explore_slots=explore_slots, short=short,
+        repeat_slots=h, explore_slots=explore_slots,
         rel_scale=rel_scale, epsilon_eff=eps, alpha_eff=alpha,
         signed_lambda=slam, k=cfg.k, exposure=cfg.exposure,
         objective_kind=cfg.objective_kind)
@@ -298,11 +302,10 @@ def reweighted(problems: list[RerankProblem], cands: CandidateSet,
     for p in problems:
         slots = {}
         if p.kind == "combined":
-            h, explore_slots, short = _slot_split(
+            h, explore_slots = _slot_split(
                 cands.repeat_list.get(p.user_id, []),
                 len(cands.explore_list.get(p.user_id, [])), cfg)
-            slots = dict(repeat_slots=h, explore_slots=explore_slots,
-                         short=short)
+            slots = dict(repeat_slots=h, explore_slots=explore_slots)
         out.append(replace(
             p, rel_scale=rel_scale, epsilon_eff=eps, alpha_eff=alpha,
             signed_lambda=slam, objective_kind=cfg.objective_kind, **slots))
@@ -395,7 +398,7 @@ def original_topk(cands: CandidateSet, cfg: RerankConfig) -> dict[str, list[str]
     for uid in cands.user_ids:
         rep = cands.repeat_list.get(uid, [])
         exp = cands.explore_list.get(uid, [])
-        h, explore_slots, _ = _slot_split(rep, len(exp), cfg)
+        h, explore_slots = _slot_split(rep, len(exp), cfg)
         chosen = rep[:h] + exp[:explore_slots]
         baskets[uid] = [i for i, _ in rank_pairs(chosen)]
     return baskets

@@ -65,18 +65,16 @@ def _ranked_in_place(per_user: dict[str, ScoreList], n: int
 @dataclass
 class CandidateSet:
     kind: str  # "unified" or "combined"
-    n: int
     unified: dict[str, ScoreList] = field(default_factory=dict)
     repeat_list: dict[str, ScoreList] = field(default_factory=dict)
     explore_list: dict[str, ScoreList] = field(default_factory=dict)
 
     @property
     def user_ids(self) -> list[str]:
-        src = self.unified if self.kind == "unified" else self.repeat_list
+        if self.kind == "unified":
+            return sorted(self.unified)
         # combined users may appear in either list
-        if self.kind == "combined":
-            return sorted(set(self.repeat_list) | set(self.explore_list))
-        return sorted(src)
+        return sorted(set(self.repeat_list) | set(self.explore_list))
 
 
 def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
@@ -147,7 +145,7 @@ def import_scores(path: str, kind: str = "unified", n: int = 100,
     """
     if kind == "unified":
         unified = _ranked_in_place(_read_scores_tsv(path), n)
-        return CandidateSet(kind="unified", n=n, unified=unified)
+        return CandidateSet(kind="unified", unified=unified)
     if kind == "combined":
         if explore_path is None:
             raise DataError("combined import needs both a repeat and an explore file")
@@ -159,7 +157,7 @@ def import_scores(path: str, kind: str = "unified", n: int = 100,
                 raise DataError(
                     f"user {uid!r}: items {sorted(overlap)[:3]} appear in both "
                     "repeat and explore score files")
-        return CandidateSet(kind="combined", n=n, repeat_list=rep, explore_list=exp)
+        return CandidateSet(kind="combined", repeat_list=rep, explore_list=exp)
     raise DataError(f"unknown candidate kind: {kind!r}")
 
 
@@ -224,8 +222,7 @@ def score_explore_popularity(train: BasketDataset, reps: RepeatSets, n: int = 10
 def make_combined(train: BasketDataset, reps: RepeatSets, n: int = 100) -> CandidateSet:
     """Built-in combined candidate set (frequency repeat + popularity explore)."""
     return CandidateSet(
-        kind="combined", n=n,
-        repeat_list=score_repeat_topfreq(train, reps, n),
+        kind="combined", repeat_list=score_repeat_topfreq(train, reps, n),
         explore_list=score_explore_popularity(train, reps, n))
 
 
@@ -245,4 +242,4 @@ def make_unified(repeat_side: dict[str, ScoreList],
         pairs += [(i, (1.0 - mix) * s) for i, s in explore_side.get(uid, [])]
         pairs.sort(key=_rank_key)  # two ranked runs: see _ranked_in_place
         unified[uid] = pairs[:n]
-    return CandidateSet(kind="unified", n=n, unified=unified)
+    return CandidateSet(kind="unified", unified=unified)

@@ -14,6 +14,13 @@ algorithm:
 * additive plus position-weighted exposure: ``solve_exposure_dp``, a DP
   over the items taken from each pool, in ranking order.
 
+Three second routes stay, each faster on tie-heavy candidates with the
+same baskets. One pool with a choice takes ``_coverage_cut`` alone: the
+Lagrangian search is 1.30-1.35x slower there. A pool taken whole enters it
+as ``taken``: settling that pool at the Lagrangian's end makes combined
+radiv at K=20 1.37-1.41x slower. ``_fill_ties`` answers fixed counts
+without ``_walk_ties``: the walk is 1.26-1.35x slower there.
+
 Every path rejects a pool with fewer candidates than slots
 (``_checked_pools``). ``solve_bruteforce`` enumerates every feasible
 selection. It is the testing oracle, kept independent of the paths above
@@ -46,7 +53,6 @@ _DP_GROWTH = 1.5
 
 @dataclass
 class Selection:
-    user_id: str
     items: list[str]            # position order (relevance desc, id asc)
     objective: float
     solver_tag: str
@@ -162,8 +168,8 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
     selected = [problem.items[j] for j in chosen]
     check_slots(problem, selected, sum(problem.is_repeat[j] for j in chosen))
     obj = indexed_objective_value(problem, chosen)
-    return Selection(problem.user_id, selected, obj, "topk_linear",
-                     nodes=nodes, wall_time=time.perf_counter() - start)
+    return Selection(selected, obj, "topk_linear", nodes=nodes,
+                     wall_time=time.perf_counter() - start)
 
 
 def _coverage_cut(problem: RerankProblem, pool: list[int], quota: int,
@@ -245,20 +251,15 @@ def _coverage_cut(problem: RerankProblem, pool: list[int], quota: int,
                     best += 1
                 groups.append((sorted(members[:best]), cover, 1))
     # every group's count is fixed when there is one group, or when the
-    # slots left equal the sum of the groups' lo or of their caps
+    # slots left equal the sum of the groups' hi (no hi exceeds its members).
+    # They always exceed the sum of the lo: each marginal above v_hi is a
+    # forced item or a lo = 1 group's member, and at most quota - 1 are.
     left = quota - len(forced)
-    los = [lo for _, lo, _ in groups]
-    caps = [min(hi, len(members)) for members, _, hi in groups]
     if len(groups) == 1:
-        counts = [left]
-    elif left == sum(los):
-        counts = los
-    elif left == sum(caps):
-        counts = caps
-    else:
-        return forced, groups, marginals
-    return forced, [(members, c, c)
-                    for (members, _, _), c in zip(groups, counts)], marginals
+        groups = [(groups[0][0], left, left)]
+    elif left == sum(hi for _, _, hi in groups):
+        groups = [(members, hi, hi) for members, _, hi in groups]
+    return forced, groups, marginals
 
 
 def _lagrangian_cut(problem: RerankProblem, adj: list[float]
@@ -597,7 +598,7 @@ def solve_exposure_dp(problem: RerankProblem) -> Selection:
     selected = list(map(items.__getitem__, chosen))
     check_slots(problem, selected, sum(map(rep.__getitem__, chosen)))
     obj = indexed_objective_value(problem, chosen)
-    return Selection(problem.user_id, selected, obj, "exposure_dp", nodes=m,
+    return Selection(selected, obj, "exposure_dp", nodes=m,
                      wall_time=time.perf_counter() - start)
 
 
@@ -632,8 +633,7 @@ def solve_bruteforce(problem: RerankProblem) -> Selection:
             best_obj, best_seq = obj, seq
     if best_seq is None:
         raise SolverError("no feasible selection")
-    return Selection(problem.user_id, list(best_seq), best_obj, "brute_force",
-                     nodes=count,
+    return Selection(list(best_seq), best_obj, "brute_force", nodes=count,
                      wall_time=time.perf_counter() - start)
 
 

@@ -80,7 +80,11 @@ class TuneResult:
     results: list[tuple[RerankConfig, MetricsReport]]
     baseline: MetricsReport
     feasible_count: int
-    infeasible: bool
+
+    @property
+    def infeasible(self) -> bool:
+        """No grid point kept Recall within the tolerance."""
+        return self.feasible_count == 0
 
 
 def rerank_and_evaluate(cands: CandidateSet, split: SplitDataset,
@@ -96,7 +100,7 @@ def _problem_key(problem: RerankProblem) -> tuple:
     """What a re-weighted problem changes between grid points."""
     return (problem.rel_scale, problem.epsilon_eff, problem.alpha_eff,
             problem.signed_lambda, problem.repeat_slots, problem.explore_slots,
-            problem.short, problem.objective_kind)
+            problem.objective_kind)
 
 
 def grids_read(kind: str, cands_kind: str) -> tuple[str, str]:
@@ -195,9 +199,7 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
         if best_score is None or score > best_score:
             best_cfg, best_score = pcfg, score
 
-    if best_cfg is None:
-        return TuneResult(baseline_cfg, results, baseline, 0, True)
-    return TuneResult(best_cfg, results, baseline, feasible, False)
+    return TuneResult(best_cfg or baseline_cfg, results, baseline, feasible)
 
 
 def final_evaluate(best: RerankConfig, test: SplitDataset, cands: CandidateSet,

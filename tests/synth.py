@@ -50,8 +50,7 @@ def _random_groups(rng: random.Random, items: list[str]) -> ItemGroups:
     shuffled = list(items)
     rng.shuffle(shuffled)
     n_pop = max(1, min(len(items) - 1, math.ceil(0.2 * len(items))))
-    counts = {i: len(items) - rank for rank, i in enumerate(shuffled)}
-    return ItemGroups(set(shuffled[:n_pop]), set(shuffled[n_pop:]), counts)
+    return ItemGroups(set(shuffled[:n_pop]), set(shuffled[n_pop:]))
 
 
 def _random_config(rng: random.Random, n: int, k: int, objective_kind: str,
@@ -78,7 +77,7 @@ def random_unified_instance(seed: int, n: int = 10, k: int = 4,
         exposure_kind = rng.choice(["uniform", "log_discount"])
     items = [f"i{j:02d}" for j in range(n)]
     pairs = [(i, rng.random()) for i in items]
-    cands = CandidateSet(kind="unified", n=n, unified={"u": rank_pairs(pairs, n)})
+    cands = CandidateSet(kind="unified", unified={"u": rank_pairs(pairs, n)})
     reps: RepeatSets = {"u": frozenset(i for i in items if rng.random() < 0.4)}
     n_cats = rng.randint(1, 5)
     categories = {i: f"c{rng.randrange(n_cats)}" for i in items}
@@ -103,7 +102,7 @@ def random_combined_instance(seed: int, n_repeat: int = 6, n_explore: int = 6,
     exp_items = [f"x{j:02d}" for j in range(n_explore)]
     rep_pairs = rank_pairs([(i, rng.random()) for i in rep_items])
     exp_pairs = rank_pairs([(i, rng.random()) for i in exp_items])
-    cands = CandidateSet(kind="combined", n=max(n_repeat, n_explore),
+    cands = CandidateSet(kind="combined",
                          repeat_list={"u": rep_pairs},
                          explore_list={"u": exp_pairs})
     all_items = rep_items + exp_items

@@ -277,7 +277,7 @@ def _performance_problems(n_users, kind, exposure, eps, alpha, lam):
     rng = random.Random(123)
     items = [f"i{j:03d}" for j in range(500)]
     popular = set(items[:100])
-    groups = ItemGroups(popular, set(items) - popular, {})
+    groups = ItemGroups(popular, set(items) - popular)
     categories = {i: f"c{rng.randrange(40)}" for i in items}
     cfg = RerankConfig(k=20, n=100, epsilon=eps, alpha=alpha, lam=lam,
                        exposure=ExposureModel(exposure), objective_kind=kind)
@@ -286,7 +286,7 @@ def _performance_problems(n_users, kind, exposure, eps, alpha, lam):
         uid = f"u{u:04d}"
         cand_items = rng.sample(items, 100)
         pairs = rank_pairs([(i, rng.random()) for i in cand_items], 100)
-        cands = CandidateSet(kind="unified", n=100, unified={uid: pairs})
+        cands = CandidateSet(kind="unified", unified={uid: pairs})
         reps = {uid: frozenset(i for i in cand_items if rng.random() < 0.4)}
         problems.append(build_unified_problem(uid, cands, reps, groups,
                                               categories, cfg))

@@ -42,6 +42,11 @@ def truncated_scores(tmp_path, limit):
     return str(scores)
 
 
+# every metric of a report but recall
+_REPORT_REST = ('"ds": 0, "log_dp": 0, "rep_ratio_rec": 0, "rep_bias": 0, '
+                '"m_fr": 0, "m_dr": 0, "n_users": 1')
+
+
 def rerank_args(out, *extra, mode="radiv"):
     return ["rerank", "--mode", mode, "--k", "5", "--n", "15",
             "--train", toy_path("train.jsonl"),
@@ -416,6 +421,24 @@ class TestIngestScore:
         cands = import_scores(str(out / "unified.tsv"), "unified", n=15)
         assert len(cands.user_ids) == 12
 
+    def test_score_combined(self, tmp_path, capsys):
+        out = tmp_path / "scores"
+        code, _, _ = run(capsys, "score", "--train", toy_path("train.jsonl"),
+                         "--kind", "combined", "--n", "15", "--out", str(out))
+        assert code == 0
+        repeat, explore = str(out / "repeat.tsv"), str(out / "explore.tsv")
+        assert sorted(os.listdir(out)) == ["explore.tsv", "repeat.tsv"]
+        from basket_rerank.scorer import import_scores
+        cands = import_scores(repeat, "combined", n=15, explore_path=explore)
+        assert len(cands.user_ids) == 12
+        code, _, _ = run(capsys, "rerank", "--mode", "radiv", "--k", "5",
+                         "--n", "15", "--train", toy_path("train.jsonl"),
+                         "--repeat-scores", repeat, "--explore-scores",
+                         explore, "--theta", "0.5", "--epsilon", "0.1",
+                         "--out", str(tmp_path / "baskets.tsv"))
+        assert code == 0
+        assert len(read_baskets_tsv(str(tmp_path / "baskets.tsv"))) == 12
+
 
 def run_process(*argv, hash_seed="0"):
     """The CLI in a fresh interpreter: (exit code, stdout, stderr)."""
@@ -690,6 +713,14 @@ class TestBadInputExitCodes:
         ('{"recall": "high", "ds": 0, "log_dp": 0, "rep_ratio_rec": 0, '
          '"rep_bias": 0, "m_fr": 0, "m_dr": 0, "n_users": 1}',
          "'recall' is not a number"),
+        ('{"recall": true, ' + _REPORT_REST + '}',
+         "'recall' is not a number: True"),
+        ('{"recall": 1, ' + _REPORT_REST
+         + ', "config": {"k": [5], "omega": 0.5}}',
+         "config 'k' is not a number: [5]"),
+        ('{"recall": 1, ' + _REPORT_REST
+         + ', "config": {"k": 5, "omega": {"v": 0.5}}}',
+         "config 'omega' is not a number"),
     ])
     def test_report_malformed(self, tmp_path, text, message):
         path = write_text(tmp_path / "r.json", text)

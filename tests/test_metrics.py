@@ -61,20 +61,20 @@ class TestDiversityScore:
 class TestGroupExposure:
     def test_uniform_count(self):
         baskets = {f"u{j}": ["a"] for j in range(3)}
-        groups = ItemGroups({"a"}, {"b"}, {})
+        groups = ItemGroups({"a"}, {"b"})
         e1, e2 = group_exposure(baskets, groups, ExposureModel("uniform"))
         assert e1 == 3.0 and e2 == 0.0
 
     def test_log_discount_rank_one(self):
         baskets = {"u1": ["a"], "u2": ["a"]}
-        groups = ItemGroups({"a"}, {"b"}, {})
+        groups = ItemGroups({"a"}, {"b"})
         e1, _ = group_exposure(baskets, groups, ExposureModel("log_discount"))
         assert e1 == pytest.approx(2.0)
 
     def test_hand_computed_two_users(self):
         # popular = {a, b}, unpopular = {x, y}
         baskets = {"u1": ["a", "x"], "u2": ["b", "a"]}
-        groups = ItemGroups({"a", "b"}, {"x", "y"}, {})
+        groups = ItemGroups({"a", "b"}, {"x", "y"})
         e1, e2 = group_exposure(baskets, groups, ExposureModel("log_discount"))
         w1, w2 = 1.0, 1 / math.log2(3)
         assert e1 == pytest.approx((w1 + w2 + w1) / 2)  # a: w1+w2, b: w1
@@ -157,7 +157,7 @@ class TestEvaluate:
         split = split_with({"u1": {"a"}})
         cfg = RerankConfig(k=2, n=2)
         with pytest.raises(DataError):
-            evaluate({}, split, {}, ItemGroups({"a"}, {"b"}, {}), {}, cfg)
+            evaluate({}, split, {}, ItemGroups({"a"}, {"b"}), {}, cfg)
 
     def test_user_weighted_mean_decomposition(self):
         # recall/ds/rep_ratio of the full set equal the user-count-weighted
@@ -175,7 +175,7 @@ class TestEvaluate:
         for part in parts:
             sub = SplitDataset(train, {u: test.eval_targets[u] for u in part},
                                "test")
-            sub_cands = type(cands)(kind="unified", n=cands.n,
+            sub_cands = type(cands)(kind="unified",
                                     unified={u: cands.unified[u] for u in part})
             sub_reports.append(rerank_and_evaluate(
                 sub_cands, sub, reps, groups, train.categories, cfg,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,20 +15,19 @@ from basket_rerank.scorer import CandidateSet, rank_pairs
 
 
 def unified_cands(scores, n=100):
-    return CandidateSet(kind="unified", n=n,
+    return CandidateSet(kind="unified",
                         unified={"u": rank_pairs(list(scores.items()), n)})
 
 
 def combined_cands(rep, exp, n=100):
-    return CandidateSet(kind="combined", n=n,
+    return CandidateSet(kind="combined",
                         repeat_list={"u": rank_pairs(list(rep.items()), n)},
                         explore_list={"u": rank_pairs(list(exp.items()), n)})
 
 
 def groups_for(items, popular):
     popular = set(popular)
-    return ItemGroups(popular, set(items) - popular,
-                      {i: 1 for i in items})
+    return ItemGroups(popular, set(items) - popular)
 
 
 class TestExposureModel:
@@ -176,7 +176,7 @@ class TestBuildUnifiedProblem:
 
     def test_all_popular_coef(self):
         scores = {"a": 0.9, "b": 0.5}
-        groups = ItemGroups({"a", "b"}, {"z"}, {})
+        groups = ItemGroups({"a", "b"}, {"z"})
         cfg = RerankConfig(k=2, n=2)
         p = build_unified_problem("u", unified_cands(scores), {}, groups, {}, cfg)
         assert p.fairness_coef == [0.5, 0.5]
@@ -198,7 +198,7 @@ class TestBuildUnifiedProblem:
         # users short of K candidates: the first one raises, or with
         # skip_errors each is left out with one warning, in user-id order
         rows = [("a", 0.9), ("b", 0.5)]
-        cands = CandidateSet(kind="unified", n=2, unified={
+        cands = CandidateSet(kind="unified", unified={
             "u2": rows[:1], "u0": rows, "u1": rows[:1]})
         cfg = RerankConfig(k=2, n=2)
         args = (cands, {}, groups_for("ab", "a"), {}, cfg)
@@ -297,6 +297,11 @@ class TestBuildCombinedProblem:
         p = self.make(rep, exp, k=5, theta=0.0)
         assert p.short
         assert (p.repeat_slots, p.explore_slots) == (1, 1)
+
+    def test_short_follows_the_slots(self):
+        p = self.make({"r1": 0.9}, {"x1": 0.5}, k=2, theta=0.0)
+        assert not p.short
+        assert dataclasses.replace(p, repeat_slots=0, explore_slots=1).short
 
 
 class TestChooseSignMode:

@@ -335,7 +335,7 @@ def test_closed_form_rejects_broken_slot_counts(kind, monkeypatch):
 
 def test_closed_form_rejects_duplicate_items():
     # "a" sits in both pools and tops each, so both copies are chosen
-    cands = CandidateSet(kind="combined", n=4,
+    cands = CandidateSet(kind="combined",
                          repeat_list={"u": [("a", 0.9), ("b", 0.1)]},
                          explore_list={"u": [("a", 0.8), ("x", 0.2)]})
     cfg = RerankConfig(k=2, n=4, theta=0.5, exposure=ExposureModel("uniform"))
@@ -405,8 +405,12 @@ def one_pool_coverage_problem(seed, kind, epsilon):
     return p
 
 
-@pytest.mark.parametrize("epsilon", [1e-12, 1e-9, 0.05, 0.2, 1.0])
-@pytest.mark.parametrize("kind", ["unified", "combined", "whole"])
+ONE_POOL_KINDS = ["unified", "combined", "whole"]
+ONE_POOL_EPSILONS = [1e-12, 1e-9, 0.05, 0.2, 1.0]
+
+
+@pytest.mark.parametrize("epsilon", ONE_POOL_EPSILONS)
+@pytest.mark.parametrize("kind", ONE_POOL_KINDS)
 def test_one_pool_coverage_matches_oracle(kind, epsilon):
     for seed in range(120):
         p = one_pool_coverage_problem(seed, kind, epsilon)
@@ -431,6 +435,33 @@ def frozen_reference(directory, sets):
         if name in sets:
             out.append((p, items.split(","), obj))
     return out
+
+
+def test_coverage_cut_leaves_more_slots_than_group_lows(monkeypatch):
+    # _coverage_cut fixes the groups' counts only when there is one group or
+    # the slots left fill every group to its hi; the slots left never equal
+    # the sum of the groups' lo, which would fix them too
+    cut = solver_module._coverage_cut
+    seen = []
+
+    def recording(problem, pool, quota, adj, taken):
+        forced, groups, marginals = cut(problem, pool, quota, adj, taken)
+        seen.append((quota - len(forced), groups))
+        return forced, groups, marginals
+
+    monkeypatch.setattr(solver_module, "_coverage_cut", recording)
+    problems = [one_pool_coverage_problem(seed, kind, epsilon)
+                for kind in ONE_POOL_KINDS for epsilon in ONE_POOL_EPSILONS
+                for seed in range(120)]
+    problems += [p for p, _, _ in frozen_reference(
+        "one_pool", ("coverage-unified", "coverage-whole"))]
+    for p in problems:
+        solve(p)
+    free = [(left, groups) for left, groups in seen
+            if any(lo != hi for _, lo, hi in groups)]
+    assert free and len(seen) > len(free)
+    for left, groups in free:
+        assert sum(lo for _, lo, _ in groups) < left
 
 
 def test_coverage_closed_form_matches_branch_and_bound():

@@ -85,7 +85,7 @@ class TestGridSpec:
 class TestThetaDeciles:
     def test_pooled_and_sorted(self):
         cands = CandidateSet(
-            kind="combined", n=10,
+            kind="combined",
             repeat_list={"u1": rank_pairs([(f"r{j}", j / 10) for j in range(5)]),
                          "u2": rank_pairs([(f"r{j}", (j + 5) / 10) for j in range(5)])},
             explore_list={"u1": [], "u2": []})
@@ -95,7 +95,7 @@ class TestThetaDeciles:
 
     def test_constant_scores_collapse(self):
         cands = CandidateSet(
-            kind="combined", n=4,
+            kind="combined",
             repeat_list={"u": [("a", 0.5), ("b", 0.5)]},
             explore_list={"u": []})
         assert theta_deciles(cands) == [0.5]
