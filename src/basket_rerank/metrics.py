@@ -52,8 +52,10 @@ class MetricsReport:
     @classmethod
     def from_dict(cls, d: dict, source: str = "report") -> "MetricsReport":
         """Rebuild a report from ``to_dict`` output; DataError when ``d``
-        lacks a metric, holds a non-numeric one, or has a config whose K or
-        omega is not a number (a JSON boolean is not a number)."""
+        lacks a metric or holds one that is not a finite number (a JSON
+        boolean is not a number), when ``n_users`` is not an integer >= 0,
+        or when its config's K is not an integer >= 1 or its omega is not
+        a number in [0, 1]."""
         if not isinstance(d, dict):
             raise DataError(f"{source}: not a metrics report (a JSON object)")
         for key in _REPORT_METRICS:
@@ -68,6 +70,18 @@ class MetricsReport:
         for what, value in numbers:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise DataError(f"{source}: {what} is not a number: {value!r}")
+            # only a float can be non-finite; isfinite raises on a huge int
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataError(f"{source}: {what} is not finite: {value!r}")
+        counts = [("'n_users'", d["n_users"], 0)]
+        counts += [("config 'k'", config["k"], 1)] if "k" in config else []
+        for what, value, least in counts:
+            if not isinstance(value, int) or value < least:
+                raise DataError(f"{source}: {what} is not an integer "
+                                f">= {least}: {value!r}")
+        if not 0.0 <= config.get("omega", 0.0) <= 1.0:
+            raise DataError(f"{source}: config 'omega' is not in [0, 1]: "
+                            f"{config['omega']!r}")
         return cls(recall=d["recall"], ds=d["ds"], log_dp=d["log_dp"],
                    rep_ratio_rec=d["rep_ratio_rec"], rep_bias=d["rep_bias"],
                    m_fr=d["m_fr"], m_dr=d["m_dr"], n_users=d["n_users"],
@@ -119,10 +133,11 @@ def group_exposure(baskets, groups: ItemGroups, exposure: ExposureModel
     """Average position-weighted exposure of the popular and unpopular
     groups. Items never recommended contribute 0."""
     lists = _basket_lists(baskets)
+    table = exposure.weights(max(map(len, lists.values()), default=0))
     item_exposure: dict[str, float] = {}
     for basket in lists.values():
-        for pos, item in enumerate(basket, start=1):
-            item_exposure[item] = item_exposure.get(item, 0.0) + exposure.weight(pos)
+        for item, e in zip(basket, table):
+            item_exposure[item] = item_exposure.get(item, 0.0) + e
     # fsum is exactly rounded, so the totals do not depend on the order in
     # which the group sets iterate (which varies with the string hash seed)
     e1 = math.fsum(v for i, v in item_exposure.items()

@@ -10,10 +10,12 @@ derived from the score threshold for combined inputs). A user that
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .dataset import ItemGroups, RepeatSets, SplitDataset
 from .errors import DataError, UsageError
@@ -47,8 +49,15 @@ class ExposureModel:
             return 1.0
         return 1.0 / math.log2(position + 1)
 
-    def weights(self, k: int) -> list[float]:
-        return [self.weight(p) for p in range(1, k + 1)]
+    def weights(self, k: int) -> tuple[float, ...]:
+        """e(1..K): one shared immutable table per (kind, K)."""
+        return _weight_table(self.kind, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_table(kind: str, k: int) -> tuple[float, ...]:
+    model = ExposureModel(kind)
+    return tuple(model.weight(p) for p in range(1, k + 1))
 
 
 @dataclass
@@ -88,7 +97,10 @@ class RerankConfig:
             raise UsageError(f"unknown sign mode: {self.sign_mode!r}")
 
     def snapshot(self) -> dict:
-        d = asdict(self)
+        """The fields as a fresh dict, with the exposure kind in place of
+        the model; every other field holds an immutable value, so a
+        shallow copy is a full one."""
+        d = vars(self).copy()
         d["exposure"] = self.exposure.kind
         return d
 
@@ -205,16 +217,22 @@ def compute_h_theta(repeat_scores: list[float], theta: float, k: int,
     return min(h_aux, k)
 
 
+def _neg_score(pair: tuple[str, float]) -> float:
+    return -pair[1]
+
+
 def _slot_split(rep_pairs: list[tuple[str, float]], n_explore: int,
                 cfg: RerankConfig) -> tuple[int, int]:
     """Repeat and explore slots of one combined basket.
 
     H(theta) repeat slots, raised when the explore list cannot fill K - H;
     if both pools together cannot fill K, every candidate gets a slot and
-    the slots sum below K (the problem is ``short``).
+    the slots sum below K (the problem is ``short``). ``rep_pairs`` is
+    ranked by score descending, so ``compute_h_theta``'s count is a
+    bisection on the negated scores.
     """
-    h = compute_h_theta([s for _, s in rep_pairs], cfg.theta, cfg.k,
-                        cfg.theta_strict)
+    cut = bisect.bisect_left if cfg.theta_strict else bisect.bisect_right
+    h = min(cut(rep_pairs, -cfg.theta, key=_neg_score), cfg.k)
     h = max(h, cfg.k - n_explore)
     if h > len(rep_pairs):
         return len(rep_pairs), n_explore
@@ -295,20 +313,23 @@ def reweighted(problems: list[RerankProblem], cands: CandidateSet,
 
     Only the term weights, the objective kind and, for combined candidates,
     the slot split depend on the config's other fields, so only those are
-    replaced; the candidate lists are shared, not copied.
+    new; the candidate lists are shared, not copied. One positional
+    constructor call per problem, in field order, costs a sixth of a
+    ``dataclasses.replace``.
     """
     rel_scale, eps, alpha, slam = _effective_weights(cfg)
+    kind = cfg.objective_kind
     out = []
     for p in problems:
-        slots = {}
+        h, explore_slots = p.repeat_slots, p.explore_slots
         if p.kind == "combined":
             h, explore_slots = _slot_split(
                 cands.repeat_list.get(p.user_id, []),
                 len(cands.explore_list.get(p.user_id, [])), cfg)
-            slots = dict(repeat_slots=h, explore_slots=explore_slots)
-        out.append(replace(
-            p, rel_scale=rel_scale, epsilon_eff=eps, alpha_eff=alpha,
-            signed_lambda=slam, objective_kind=cfg.objective_kind, **slots))
+        out.append(RerankProblem(
+            p.user_id, p.items, p.relevance, p.is_repeat, p.category,
+            p.fairness_coef, p.kind, h, explore_slots, rel_scale, eps, alpha,
+            slam, p.k, p.exposure, kind))
     return out
 
 
@@ -377,8 +398,9 @@ def indexed_objective_value(problem: RerankProblem, chosen: list[int]) -> float:
     # without a fairness weight the exposure sum would be multiplied by 0
     fair_sum = 0.0
     if problem.alpha_eff:
-        for pos, j in enumerate(chosen, start=1):
-            fair_sum += problem.fairness_coef[j] * problem.exposure.weight(pos)
+        coef = problem.fairness_coef
+        for j, e in zip(chosen, problem.exposure.weights(len(chosen))):
+            fair_sum += coef[j] * e
 
     value = problem.rel_scale * rel_sum
     value += problem.epsilon_eff * len(cats) / problem.k

@@ -492,8 +492,9 @@ def solve_exposure_dp(problem: RerankProblem) -> Selection:
     size = (qb + 2) * width if qb else width
     # each state's exposure weight for the next item; 0 past the quotas
     ecell = [0.0] * size
+    padded = (*eweights, 0.0)
     for b in range(qb + 1):
-        ecell[b * width:b * width + qa + 1] = (eweights + [0.0])[b:b + qa + 1]
+        ecell[b * width:b * width + qa + 1] = padded[b:b + qa + 1]
     # a candidate's move in the state: a pool 0 item steps a, a pool 1 item b
     steps = ([1 if r else width for r in rep] if qb
              else [1] * problem.n_candidates)

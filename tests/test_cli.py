@@ -721,6 +721,30 @@ class TestBadInputExitCodes:
         ('{"recall": 1, ' + _REPORT_REST
          + ', "config": {"k": 5, "omega": {"v": 0.5}}}',
          "config 'omega' is not a number"),
+        ('{"recall": NaN, ' + _REPORT_REST + '}', "'recall' is not finite"),
+        ('{"recall": 1, ' + _REPORT_REST.replace('"ds": 0', '"ds": Infinity')
+         + '}', "'ds' is not finite"),
+        ('{"recall": 1, ' + _REPORT_REST.replace('"m_dr": 0',
+                                                 '"m_dr": -Infinity') + '}',
+         "'m_dr' is not finite"),
+        ('{"recall": 1, ' + _REPORT_REST.replace('"n_users": 1',
+                                                 '"n_users": -1.5') + '}',
+         "'n_users' is not an integer >= 0: -1.5"),
+        ('{"recall": 1, ' + _REPORT_REST.replace('"n_users": 1',
+                                                 '"n_users": -1') + '}',
+         "'n_users' is not an integer >= 0: -1"),
+        ('{"recall": 1, ' + _REPORT_REST
+         + ', "config": {"k": -2.5, "omega": 0.5}}',
+         "config 'k' is not an integer >= 1: -2.5"),
+        ('{"recall": 1, ' + _REPORT_REST
+         + ', "config": {"k": 0, "omega": 0.5}}',
+         "config 'k' is not an integer >= 1: 0"),
+        ('{"recall": 1, ' + _REPORT_REST
+         + ', "config": {"k": 5, "omega": 7}}',
+         "config 'omega' is not in [0, 1]: 7"),
+        ('{"recall": 1, ' + _REPORT_REST
+         + ', "config": {"k": 5, "omega": NaN}}',
+         "config 'omega' is not finite"),
     ])
     def test_report_malformed(self, tmp_path, text, message):
         path = write_text(tmp_path / "r.json", text)

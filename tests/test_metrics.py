@@ -81,6 +81,24 @@ class TestGroupExposure:
         assert e2 == pytest.approx(w2 / 2)               # x: w2, y: 0
 
 
+    @pytest.mark.parametrize("kind", ["uniform", "log_discount"])
+    def test_equal_to_per_position_weights(self, kind):
+        # the loop before the weight table, as the reference
+        exposure = ExposureModel(kind)
+        baskets = {"u1": ["a", "x", "b", "y"], "u2": ["b", "a"],
+                   "u3": ["y", "x", "a"], "u4": []}
+        groups = ItemGroups({"a", "b"}, {"x", "y", "z"})
+        item_exposure = {}
+        for basket in baskets.values():
+            for pos, item in enumerate(basket, start=1):
+                item_exposure[item] = (item_exposure.get(item, 0.0)
+                                       + exposure.weight(pos))
+        expect = tuple(
+            math.fsum(v for i, v in item_exposure.items() if i in group)
+            / len(group) for group in (groups.popular, groups.unpopular))
+        assert group_exposure(baskets, groups, exposure) == expect
+
+
 class TestLogDp:
     def test_parity_zero(self):
         assert log_dp(2.5, 2.5) == pytest.approx(0.0)

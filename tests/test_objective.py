@@ -1,17 +1,19 @@
 import dataclasses
 import math
+import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basket_rerank.dataset import ItemGroups
 from basket_rerank.errors import DataError, UsageError
-from basket_rerank.objective import (ExposureModel, RerankConfig,
+from basket_rerank.objective import (ExposureModel, RerankConfig, _slot_split,
                                      build_combined_problem, build_problems,
                                      build_unified_problem, choose_sign_mode,
-                                     compute_h_theta, objective_value,
-                                     original_topk)
+                                     compute_h_theta, indexed_objective_value,
+                                     objective_value, original_topk)
 from basket_rerank.scorer import CandidateSet, rank_pairs
+from tests.synth import random_combined_instance, random_unified_instance
 
 
 def unified_cands(scores, n=100):
@@ -33,7 +35,7 @@ def groups_for(items, popular):
 class TestExposureModel:
     def test_uniform(self):
         e = ExposureModel("uniform")
-        assert e.weights(3) == [1.0, 1.0, 1.0]
+        assert e.weights(3) == (1.0, 1.0, 1.0)
 
     def test_log_discount(self):
         e = ExposureModel("log_discount")
@@ -50,6 +52,16 @@ class TestExposureModel:
     def test_unknown_kind_rejected(self, kind):
         with pytest.raises(UsageError, match="unknown exposure kind"):
             ExposureModel(kind)
+
+    @pytest.mark.parametrize("kind", ["uniform", "log_discount"])
+    def test_table_is_weight_per_position(self, kind):
+        e = ExposureModel(kind)
+        for k in (1, 2, 12, 20, 57):
+            table = e.weights(k)
+            assert table == tuple(e.weight(p) for p in range(1, k + 1))
+            # one immutable table per (kind, K), shared by every caller
+            assert isinstance(table, tuple)
+            assert ExposureModel(kind).weights(k) is table
 
 
 class TestRerankConfig:
@@ -71,6 +83,24 @@ class TestRerankConfig:
     def test_bad_number_rejected(self, bad):
         with pytest.raises(UsageError):
             RerankConfig(**bad)
+
+    @pytest.mark.parametrize("cfg", [
+        RerankConfig(),
+        RerankConfig(k=7, n=9, epsilon=0.1, alpha=2.0, lam=0.3, theta=0.25,
+                     theta_strict=False, sign_mode="reward_repeat",
+                     exposure=ExposureModel("uniform"), omega=0.2,
+                     recall_tolerance=0.05, objective_kind="raif",
+                     log_base=2.0),
+    ])
+    def test_snapshot_is_a_fresh_asdict(self, cfg):
+        # the deep copy that the shallow one replaced, as the reference
+        expect = dataclasses.asdict(cfg)
+        expect["exposure"] = cfg.exposure.kind
+        snap = cfg.snapshot()
+        assert snap == expect and list(snap) == list(expect)
+        assert snap is not cfg.snapshot()
+        snap["k"] = -1
+        assert cfg.k != -1 and cfg.snapshot() == expect
 
 
 class TestObjectiveValue:
@@ -165,6 +195,49 @@ class TestObjectiveValue:
             assert with_pop - with_unpop == pytest.approx(expected)
 
 
+def reference_objective_value(problem, chosen):
+    """``indexed_objective_value`` before the weight table: one
+    ``ExposureModel.weight`` call per basket position."""
+    rel_sum = 0.0
+    n_rep = 0
+    cats = set()
+    for j in chosen:
+        rel_sum += problem.relevance[j]
+        if problem.is_repeat[j]:
+            n_rep += 1
+        cats.add(problem.category[j])
+    fair_sum = 0.0
+    if problem.alpha_eff:
+        for pos, j in enumerate(chosen, start=1):
+            fair_sum += problem.fairness_coef[j] * problem.exposure.weight(pos)
+    value = problem.rel_scale * rel_sum
+    value += problem.epsilon_eff * len(cats) / problem.k
+    value -= problem.alpha_eff * fair_sum
+    value += problem.signed_lambda * n_rep / problem.k
+    return value
+
+
+class TestIndexedObjectiveValue:
+    @pytest.mark.parametrize("exposure", ["uniform", "log_discount"])
+    @pytest.mark.parametrize("kind", ["raif", "naive_fair", "radiv"])
+    def test_bit_equal_to_per_position_weights(self, kind, exposure):
+        for seed in range(40):
+            rng = random.Random(seed)
+            if seed % 2:
+                problem, _ = random_unified_instance(
+                    seed, n=12, k=7, objective_kind=kind, exposure_kind=exposure)
+            else:
+                problem, _ = random_combined_instance(
+                    seed, n_repeat=7, n_explore=7, k=7,
+                    objective_kind="radiv" if kind == "radiv" else "raif",
+                    exposure_kind=exposure)
+            for size in (1, 3, problem.k):
+                chosen = rng.sample(range(problem.n_candidates), size)
+                got = indexed_objective_value(problem, chosen)
+                assert got == reference_objective_value(problem, chosen)
+                assert math.isfinite(got)
+
+
 class TestBuildUnifiedProblem:
     def test_repeat_flag_count(self):
         scores = {f"i{j:02d}": 1.0 - j / 100 for j in range(20)}
@@ -254,6 +327,59 @@ class TestComputeHTheta:
         values = [compute_h_theta(scores, t, k) for t in thetas]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert all(0 <= v <= k for v in values)
+
+
+def reference_slot_split(rep_pairs, n_explore, cfg):
+    """``_slot_split`` before bisection: ``compute_h_theta``'s count."""
+    h = compute_h_theta([s for _, s in rep_pairs], cfg.theta, cfg.k,
+                        cfg.theta_strict)
+    h = max(h, cfg.k - n_explore)
+    if h > len(rep_pairs):
+        return len(rep_pairs), n_explore
+    return h, cfg.k - h
+
+
+# few distinct values, so that scores tie with each other and with theta
+_TIED = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0])
+
+
+class TestSlotSplit:
+    @settings(max_examples=300, deadline=None)
+    @given(scores=st.lists(_TIED | st.floats(0, 1), max_size=30),
+           theta=_TIED | st.sampled_from([-0.5, 1.5]) | st.floats(-1, 2),
+           k=st.integers(1, 20), n_explore=st.integers(0, 25),
+           strict=st.booleans())
+    # ties at theta, in both modes
+    @example(scores=[0.9, 0.5, 0.5, 0.1], theta=0.5, k=20, n_explore=25,
+             strict=True)
+    @example(scores=[0.9, 0.5, 0.5, 0.1], theta=0.5, k=20, n_explore=25,
+             strict=False)
+    # theta above and below every score
+    @example(scores=[0.5, 0.4], theta=1.5, k=3, n_explore=9, strict=False)
+    @example(scores=[0.5, 0.4], theta=-0.5, k=3, n_explore=9, strict=True)
+    # an empty repeat list
+    @example(scores=[], theta=0.5, k=4, n_explore=2, strict=True)
+    @example(scores=[], theta=0.5, k=4, n_explore=9, strict=False)
+    # the K clamp, and explore shortfall
+    @example(scores=[0.9] * 25, theta=0.1, k=20, n_explore=25, strict=True)
+    @example(scores=[0.1] * 10, theta=0.9, k=5, n_explore=2, strict=True)
+    @example(scores=[0.9], theta=0.0, k=5, n_explore=1, strict=False)
+    def test_bisection_equals_count(self, scores, theta, k, n_explore, strict):
+        rep_pairs = rank_pairs([(f"r{j:02d}", s) for j, s in enumerate(scores)])
+        cfg = RerankConfig(k=k, n=100, theta=theta, theta_strict=strict)
+        assert _slot_split(rep_pairs, n_explore, cfg) == \
+            reference_slot_split(rep_pairs, n_explore, cfg)
+
+    def test_examples_reach_every_case(self):
+        # the clamp, the shortfall raise and the short basket each decide
+        # the split in one of the examples above
+        def split(scores, theta, k, n_explore):
+            pairs = rank_pairs([(f"r{j}", s) for j, s in enumerate(scores)])
+            return _slot_split(pairs, n_explore, RerankConfig(k=k, theta=theta))
+        assert split([0.9] * 25, 0.1, 20, 25) == (20, 0)
+        assert split([0.1] * 10, 0.9, 5, 2) == (3, 2)
+        assert split([0.9], 0.0, 5, 1) == (1, 1)
+        assert split([], 0.5, 4, 9) == (0, 4)
 
 
 class TestBuildCombinedProblem:

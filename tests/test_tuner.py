@@ -382,7 +382,13 @@ class TestBuildOnce:
 
         built = build(base_cfg("relevance_only"))
         for pcfg, _ in result.results:
-            assert reweighted(built, cands, pcfg) == build(pcfg)
+            again = reweighted(built, cands, pcfg)
+            assert again == build(pcfg)
+            # the candidate lists are shared with the built problems
+            for new, old in zip(again, built):
+                for name in ("items", "relevance", "is_repeat", "category",
+                             "fairness_coef"):
+                    assert getattr(new, name) is getattr(old, name)
 
 
 class TestFinalEvaluate:
