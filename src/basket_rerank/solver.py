@@ -84,12 +84,13 @@ def _pools(problem: RerankProblem) -> tuple[list[list[int]], list[int]]:
     """Candidate indices (in candidate order) and slot quota of pool 0 and
     pool 1: unified problems use a single pool; combined ones split by
     repeat flag."""
+    index = range(problem.n_candidates)
     if problem.kind == "unified":
-        return [list(range(problem.n_candidates)), []], [problem.total_slots, 0]
-    pools: list[list[int]] = [[], []]
-    for j, rep in enumerate(problem.is_repeat):
-        pools[0 if rep else 1].append(j)
-    return pools, [problem.repeat_slots, problem.explore_slots]
+        return [list(index), []], [problem.total_slots, 0]
+    rep = problem.is_repeat
+    return ([list(itertools.compress(index, rep)),
+             list(itertools.filterfalse(rep.__getitem__, index))],
+            [problem.repeat_slots, problem.explore_slots])
 
 
 def _checked_pools(problem: RerankProblem) -> tuple[list[list[int]], list[int]]:
@@ -166,7 +167,8 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
         chosen += _fill_ties(problem, chosen, left, groups)
     chosen.sort()  # candidate order is basket-position order
     selected = [problem.items[j] for j in chosen]
-    check_slots(problem, selected, sum(problem.is_repeat[j] for j in chosen))
+    check_slots(problem, selected,
+                sum(map(problem.is_repeat.__getitem__, chosen)))
     obj = indexed_objective_value(problem, chosen)
     return Selection(selected, obj, "topk_linear", nodes=nodes,
                      wall_time=time.perf_counter() - start)

@@ -719,6 +719,28 @@ def walk_instance(seed):
     return problem, forced, left, groups
 
 
+def test_pools_match_the_enumerate_split():
+    def reference(problem):
+        # ``_pools`` before ``itertools.compress``: one append per candidate
+        if problem.kind == "unified":
+            return ([list(range(problem.n_candidates)), []],
+                    [problem.total_slots, 0])
+        pools = [[], []]
+        for j, rep in enumerate(problem.is_repeat):
+            pools[0 if rep else 1].append(j)
+        return pools, [problem.repeat_slots, problem.explore_slots]
+
+    for seed in range(60):
+        rng = random.Random(seed)
+        problem, _ = (random_unified_instance(seed, n=9) if seed % 3 == 0
+                      else random_combined_instance(seed, n_repeat=5,
+                                                    n_explore=6))
+        flags = [rng.random() < rng.choice((0.0, 0.5, 1.0))
+                 for _ in problem.items]
+        for p in (problem, dataclasses.replace(problem, is_repeat=flags)):
+            assert solver_module._pools(p) == reference(p)
+
+
 def test_walk_ties_matches_enumeration():
     # the tie walk against every choice of group members that meets the
     # groups' bounds and both pools' slots left
