@@ -388,9 +388,13 @@ def indexed_objective_value(problem: RerankProblem, chosen: list[int]) -> float:
     basket-position order, in O(len(chosen)). The caller checks the slots
     (``check_slots``)."""
     rel_sum = 0.0
+    n_rep = 0
+    cats = set()
     for j in chosen:
         rel_sum += problem.relevance[j]
-    n_rep = sum(map(problem.is_repeat.__getitem__, chosen))
+        if problem.is_repeat[j]:
+            n_rep += 1
+        cats.add(problem.category[j])
     # without a fairness weight the exposure sum would be multiplied by 0
     fair_sum = 0.0
     if problem.alpha_eff:
@@ -399,11 +403,7 @@ def indexed_objective_value(problem: RerankProblem, chosen: list[int]) -> float:
             fair_sum += coef[j] * e
 
     value = problem.rel_scale * rel_sum
-    # without a diversity weight the coverage term would add 0.0, which
-    # leaves ``value`` as it is
-    if problem.epsilon_eff:
-        cats = {problem.category[j] for j in chosen}
-        value += problem.epsilon_eff * len(cats) / problem.k
+    value += problem.epsilon_eff * len(cats) / problem.k
     value -= problem.alpha_eff * fair_sum
     value += problem.signed_lambda * n_rep / problem.k
     return value

@@ -24,7 +24,9 @@ without ``_walk_ties``: the walk is 1.26-1.35x slower there.
 Every path rejects a pool with fewer candidates than slots
 (``_checked_pools``). ``solve_bruteforce`` enumerates every feasible
 selection. It is the testing oracle, kept independent of the paths above
-(it scores selections only through ``objective_value``).
+(it scores selections only through ``objective_value``). ``narrowed``
+drops the candidates that the closed form chooses under none of a set of
+additive weightings, for the tuner's grids.
 
 One tie rule holds on every path (``_better``): a selection wins when its
 objective is higher by more than ``_TIE_TOL``; otherwise the
@@ -38,7 +40,7 @@ import itertools
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import SolverError, UsageError
 from .objective import (RerankProblem, check_slots, indexed_objective_value,
@@ -84,13 +86,12 @@ def _pools(problem: RerankProblem) -> tuple[list[list[int]], list[int]]:
     """Candidate indices (in candidate order) and slot quota of pool 0 and
     pool 1: unified problems use a single pool; combined ones split by
     repeat flag."""
-    index = range(problem.n_candidates)
     if problem.kind == "unified":
-        return [list(index), []], [problem.total_slots, 0]
-    rep = problem.is_repeat
-    return ([list(itertools.compress(index, rep)),
-             list(itertools.filterfalse(rep.__getitem__, index))],
-            [problem.repeat_slots, problem.explore_slots])
+        return [list(range(problem.n_candidates)), []], [problem.total_slots, 0]
+    pools: list[list[int]] = [[], []]
+    for j, rep in enumerate(problem.is_repeat):
+        pools[0 if rep else 1].append(j)
+    return pools, [problem.repeat_slots, problem.explore_slots]
 
 
 def _checked_pools(problem: RerankProblem) -> tuple[list[list[int]], list[int]]:
@@ -167,8 +168,7 @@ def solve_topk_linear(problem: RerankProblem) -> Selection:
         chosen += _fill_ties(problem, chosen, left, groups)
     chosen.sort()  # candidate order is basket-position order
     selected = [problem.items[j] for j in chosen]
-    check_slots(problem, selected,
-                sum(map(problem.is_repeat.__getitem__, chosen)))
+    check_slots(problem, selected, sum(problem.is_repeat[j] for j in chosen))
     obj = indexed_objective_value(problem, chosen)
     return Selection(selected, obj, "topk_linear", nodes=nodes,
                      wall_time=time.perf_counter() - start)
@@ -452,6 +452,66 @@ def _adjusted_values(problem: RerankProblem) -> list[float]:
             - alpha * coef
             for rel, rep, coef in zip(problem.relevance, problem.is_repeat,
                                       problem.fairness_coef)]
+
+
+def narrowed(problems: list[RerankProblem], points: list[RerankProblem]
+             ) -> list[RerankProblem]:
+    """``problems`` without each candidate that ``solve`` chooses under none
+    of the weightings of ``points`` (one user's problem re-weighted per
+    grid point: every user shares the weights).
+
+    Only additive weightings narrow. With a coverage term a candidate's
+    worth depends on the others chosen, and with a position-dependent one
+    on its basket position (the exposure DP can choose a candidate with K
+    better ones of its class), so then every problem stays whole.
+
+    A candidate goes when K candidates ahead of it share its repeat flag
+    and fairness coefficient, each more relevant by over ``_margin``. Its
+    adjusted value is then more than ``_TIE_TOL`` below theirs at every
+    weighting, rounding included. Its pool holds those K and has at most K
+    slots, so the candidate is below the pool's cut by more than
+    ``_TIE_TOL``: in no answer and no tie group. The narrowed problem has
+    the same answer, scored from the same items in the same order.
+    """
+    if not points or any(p.epsilon_eff or _position_dependent(p)
+                         for p in points):
+        return problems
+    margin = _margin(problems, points)
+    out = []
+    for p in problems:
+        relevance = p.relevance
+        # each class's first K relevances; candidates are in relevance-desc
+        # order, so the last is the least
+        ahead: dict[tuple, list[float]] = {}
+        keep = []
+        for j, cls in enumerate(zip(p.is_repeat, p.fairness_coef)):
+            rels = ahead.setdefault(cls, [])
+            if len(rels) < p.k:
+                rels.append(relevance[j])
+            elif rels[-1] > relevance[j] + margin:
+                continue
+            keep.append(j)
+        if len(keep) < p.n_candidates:
+            p = replace(p, **{name: [getattr(p, name)[j] for j in keep]
+                              for name in ("items", "relevance", "is_repeat",
+                                           "category", "fairness_coef")})
+        out.append(p)
+    return out
+
+
+def _margin(problems: list[RerankProblem], points: list[RerankProblem]
+            ) -> float:
+    """The relevance gap ``narrowed`` asks of each of the K candidates
+    ahead: ``_TIE_TOL`` at the smallest relevance scale, plus room for the
+    few roundings of each adjusted value and of the cut's comparison,
+    2^-44 of a bound on |adjusted value| plus 1."""
+    rel = max((abs(r) for p in problems for r in p.relevance), default=0.0)
+    coef = max((abs(c) for p in problems for c in p.fairness_coef),
+               default=0.0)
+    bound = max(p.rel_scale * rel + abs(p.signed_lambda) / p.k
+                + abs(p.alpha_eff) * coef for p in points)
+    return ((_TIE_TOL + 2.0 ** -44 * (bound + 1))
+            / min(p.rel_scale for p in points))
 
 
 def solve_exposure_dp(problem: RerankProblem) -> Selection:

@@ -15,17 +15,16 @@ work:
 * per distinct basket set, the metrics report: a point whose baskets equal
   an earlier point's reuses that report with its own config.
 
-Once per call, when no grid point has a position-dependent term (radiv, or
-raif with uniform exposure), each built problem also drops every candidate
-that no point can choose (``_narrowed``): one with K candidates ahead of it
-with the same repeat flag and the same category (radiv) or fairness
-coefficient (raif), each more relevant by a margin that keeps its adjusted
-value more than the solver's tie tolerance above at every point
-(``_margin``). Every point then
-solves the same baskets, with the same objectives, from about half the
-candidates. The grids of the exposure DP (raif with log-discount exposure)
-stay whole: there a candidate's fairness term depends on its basket
-position, so the DP can choose a dominated candidate.
+Once per call, when every grid point's problem is additive (no diversity
+weight, and a fairness term only with uniform exposure), each built problem
+also drops every candidate that no point can choose (``solver.narrowed``):
+one with K candidates ahead of it with the same repeat flag and fairness
+coefficient, each more relevant by a margin that keeps its adjusted value
+more than the solver's tie tolerance below theirs at every point. Every
+point then solves the same baskets, with the same objectives, from about
+half the candidates. Radiv grids (with a diversity weight) and the exposure
+DP's (raif with log-discount exposure) stay whole: there a candidate's
+worth depends on the categories chosen with it or on its basket position.
 
 So a point costs its solves. Besides them, a point makes one
 ``RerankProblem`` per user that shares the built candidate lists, finds
@@ -34,7 +33,7 @@ report's config shallowly (``RerankConfig.snapshot``). On the ``tune``
 benchmark (40 users, K=20, 336 points on two candidate kinds, seed 1, one
 core of a 2-vCPU host), a point takes about 0.36 ms untraced; in a traced
 run, solves are about 81% of ``run_grid`` and the tuner's own bookkeeping
-about 13%.
+about 14%.
 """
 from __future__ import annotations
 
@@ -50,7 +49,7 @@ from .metrics import MetricsReport, evaluate
 from .objective import (RerankConfig, RerankProblem, build_problems,
                         choose_sign_mode, original_topk, reweighted)
 from .scorer import CandidateSet
-from .solver import _TIE_TOL, RerankedBaskets, Selection, rerank_all
+from .solver import RerankedBaskets, Selection, narrowed, rerank_all
 
 DEFAULT_EPSILON_GRID = [0, 0.001, 0.01, 0.02, 0.04, 0.06, 0.08, 0.1,
                         0.12, 0.14, 0.16, 0.18, 0.2]
@@ -124,68 +123,6 @@ def _problem_key(problem: RerankProblem) -> tuple:
             problem.objective_kind)
 
 
-def _margin(problems: list[RerankProblem], configs: list[RerankConfig]
-            ) -> float:
-    """The relevance gap by which a candidate's adjusted value stays more
-    than ``_TIE_TOL`` below that of a more relevant candidate of its class
-    (``_narrowed``) under every config, rounding included.
-
-    The gap is ``_TIE_TOL`` at the smallest relevance scale, 1/K (the
-    relevance-only baseline), plus room for rounding: with ``bound`` a bound
-    on an adjusted value plus the coverage bonus, the solver compares
-    values below 8 * bound + 2 in magnitude (the Lagrangian search shifts
-    them by at most 2 * (2 * bound + 1)), each a few roundings from exact.
-    """
-    k = configs[0].k
-    rel = max((abs(r) for p in problems for r in p.relevance), default=0.0)
-    coef = max((abs(c) for p in problems for c in p.fairness_coef),
-               default=0.0)
-    bound = rel + max((c.lam + c.epsilon) / k + c.alpha * coef
-                      for c in configs)
-    return k * (_TIE_TOL + 2.0 ** -44 * (8 * bound + 2))
-
-
-def _narrowed(problems: list[RerankProblem], configs: list[RerankConfig]
-              ) -> list[RerankProblem]:
-    """The problems without each candidate that no config can choose, for
-    configs without a position-dependent term.
-
-    Such a candidate has K candidates ahead of it in its class, each more
-    relevant by over ``_margin``. A class is a repeat flag and a category
-    when a config has a diversity weight (radiv), else a fairness
-    coefficient (raif). An answer with the candidate leaves one of the K
-    out, and swapping the two keeps the slots and the coverage or fairness
-    term and gains more than ``_TIE_TOL``. So the candidate is in no answer
-    and no tie group, and the narrowed problem has the same answer, scored
-    from the same items in the same order.
-    """
-    k = configs[0].k
-    margin = _margin(problems, configs)
-    by_category = any(c.epsilon for c in configs)
-    out = []
-    for p in problems:
-        relevance = p.relevance
-        # each class's first K relevances; candidates are in relevance-desc
-        # order, so the last is the least
-        ahead: dict[tuple, list[float]] = {}
-        keep = []
-        for j, cls in enumerate(zip(p.is_repeat, p.category if by_category
-                                    else p.fairness_coef)):
-            rels = ahead.setdefault(cls, [])
-            if len(rels) < k:
-                rels.append(relevance[j])
-            elif rels[-1] > relevance[j] + margin:
-                continue
-            keep.append(j)
-        if len(keep) < p.n_candidates:
-            p = dataclasses.replace(p, **{
-                name: [getattr(p, name)[j] for j in keep]
-                for name in ("items", "relevance", "is_repeat", "category",
-                             "fairness_coef")})
-        out.append(p)
-    return out
-
-
 def grids_read(kind: str, cands_kind: str) -> tuple[str, str]:
     """The two GridSpec fields a run reads: the weight grid (epsilon for
     radiv, alpha for raif) and lambda for unified or theta for combined
@@ -214,11 +151,8 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
     and the result is flagged infeasible. Each point sets ``cfg``'s weights,
     theta and sign mode (from the validation repeat ratio) itself.
 
-    Before the first point, radiv and uniform-exposure raif problems drop
-    each candidate with K candidates of its class ahead of it by over
-    ``_margin`` in relevance (``_narrowed``), which no point can choose.
-    Log-discount raif problems stay whole: the exposure DP can choose such
-    a candidate."""
+    Before the first point, the problems drop each candidate that no point
+    can choose (``solver.narrowed``, additive grids only)."""
     if cfg.objective_kind not in ("radiv", "raif"):
         raise UsageError("run_grid tunes radiv or raif objectives only")
     if split.split_label != "validation":
@@ -246,9 +180,10 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
                    cfg.objective_kind, cands.kind, grid, theta_default)]
     problems = build_problems(cands, reps, groups, categories, baseline_cfg,
                               split)
-    # the exposure DP can choose a dominated candidate: its grids stay whole
-    if cfg.objective_kind == "radiv" or cfg.exposure.kind == "uniform":
-        problems = _narrowed(problems, [baseline_cfg, *configs])
+    # all users share a point's weights: one user's problems show them
+    points = [p for c in (baseline_cfg, *configs)
+              for p in reweighted(problems[:1], cands, c)]
+    problems = narrowed(problems, points)
 
     # user id -> problem key and selection at the previous point
     keys: dict[str, tuple] = {}

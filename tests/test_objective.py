@@ -231,14 +231,11 @@ class TestIndexedObjectiveValue:
                     seed, n_repeat=7, n_explore=7, k=7,
                     objective_kind="radiv" if kind == "radiv" else "raif",
                     exposure_kind=exposure)
-            # without a diversity weight, the coverage term is skipped
-            no_div = dataclasses.replace(problem, epsilon_eff=0.0)
             for size in (1, 3, problem.k):
                 chosen = rng.sample(range(problem.n_candidates), size)
-                for p in (problem, no_div):
-                    got = indexed_objective_value(p, chosen)
-                    assert got == reference_objective_value(p, chosen)
-                    assert math.isfinite(got)
+                got = indexed_objective_value(problem, chosen)
+                assert got == reference_objective_value(problem, chosen)
+                assert math.isfinite(got)
 
 
 class TestBuildUnifiedProblem:

@@ -7,15 +7,19 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basket_rerank.errors import SolverError, UsageError
 from basket_rerank.objective import (OBJECTIVE_KINDS, ExposureModel,
-                                     RerankConfig, build_combined_problem,
-                                     build_unified_problem, objective_value)
+                                     RerankConfig, RerankProblem,
+                                     build_combined_problem,
+                                     build_unified_problem, objective_value,
+                                     reweighted)
 from basket_rerank import solver as solver_module
 from basket_rerank.scorer import CandidateSet
-from basket_rerank.solver import (rerank_all, solve, solve_bruteforce,
-                                  solve_exposure_dp, solve_topk_linear)
+from basket_rerank.solver import (narrowed, rerank_all, solve,
+                                  solve_bruteforce, solve_exposure_dp,
+                                  solve_topk_linear)
 from tests.conftest import toy_path
 from tests.synth import random_combined_instance, random_unified_instance
 from tests.test_objective import combined_cands, groups_for, unified_cands
@@ -719,28 +723,6 @@ def walk_instance(seed):
     return problem, forced, left, groups
 
 
-def test_pools_match_the_enumerate_split():
-    def reference(problem):
-        # ``_pools`` before ``itertools.compress``: one append per candidate
-        if problem.kind == "unified":
-            return ([list(range(problem.n_candidates)), []],
-                    [problem.total_slots, 0])
-        pools = [[], []]
-        for j, rep in enumerate(problem.is_repeat):
-            pools[0 if rep else 1].append(j)
-        return pools, [problem.repeat_slots, problem.explore_slots]
-
-    for seed in range(60):
-        rng = random.Random(seed)
-        problem, _ = (random_unified_instance(seed, n=9) if seed % 3 == 0
-                      else random_combined_instance(seed, n_repeat=5,
-                                                    n_explore=6))
-        flags = [rng.random() < rng.choice((0.0, 0.5, 1.0))
-                 for _ in problem.items]
-        for p in (problem, dataclasses.replace(problem, is_repeat=flags)):
-            assert solver_module._pools(p) == reference(p)
-
-
 def test_walk_ties_matches_enumeration():
     # the tie walk against every choice of group members that meets the
     # groups' bounds and both pools' slots left
@@ -804,6 +786,148 @@ def test_exposure_dp_rejects_out_of_scope_problems():
     with pytest.raises(UsageError, match="exposure DP"):
         solve_exposure_dp(small_problem("raif", alpha=1.0,
                                         exposure=ExposureModel("uniform")))
+
+
+def narrowing_case(draw):
+    """A tie-heavy grid for ``narrowed``: a function of the relevance gap
+    unit giving the candidates, the built problem and one point per config.
+    Relevance comes from three levels, some lowered by the unit times just
+    under or over one, or by twice the unit. The first candidate is the
+    most relevant, 1.0, whatever the unit, so the margin does not depend on
+    it."""
+    k = draw(st.integers(1, 3), label="k")
+    kind = draw(st.sampled_from(["radiv", "raif"]), label="kind")
+    combined = draw(st.booleans(), label="combined")
+    n = draw(st.integers(k + 1, 14), label="n")
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from([1.0, 0.6, 0.3]),                         # level
+        st.sampled_from([0.0, 1 - 2 ** -20, 1 + 2 ** -20, 2.0]),  # gap
+        st.booleans(),                                            # repeat
+        st.sampled_from("ab"),                                    # category
+        st.booleans()),                                           # popular
+        min_size=n, max_size=n), label="rows")
+    rows[0] = (1.0, 0.0, *rows[0][2:])
+    ids = [f"i{j:02d}" for j in draw(st.permutations(range(n)), label="ids")]
+    # large weights make rounding errors as large as the tie tolerance
+    weight = draw(st.sampled_from([0.3, 2.0, 1e6]), label="weight")
+    lam = draw(st.sampled_from([0.0, 0.4, 1e6]), label="lambda")
+    theta = draw(st.sampled_from([-1.0, 0.5, 0.8, 2.0]), label="theta")
+    sign = draw(st.sampled_from(["penalize_repeat", "reward_repeat"]),
+                label="sign")
+    categories = {i: row[3] for i, row in zip(ids, rows)}
+    groups = groups_for(ids, [i for i, row in zip(ids, rows) if row[4]])
+    reps = {"u": frozenset(i for i, row in zip(ids, rows) if row[2])}
+    cfg = RerankConfig(k=k, theta=theta, sign_mode=sign,
+                       exposure=ExposureModel("uniform"))
+    configs = [dataclasses.replace(cfg, objective_kind="relevance_only"),
+               dataclasses.replace(cfg, objective_kind=kind, lam=lam,
+                                   epsilon=weight if kind == "radiv" else 0.0,
+                                   alpha=weight if kind == "raif" else 0.0)]
+
+    def build(unit):
+        scores = {i: level - gap * unit
+                  for i, (level, gap, *_) in zip(ids, rows)}
+        if combined:
+            cands = combined_cands(
+                {i: s for i, s in scores.items() if i in reps["u"]},
+                {i: s for i, s in scores.items() if i not in reps["u"]})
+            builder = build_combined_problem
+        else:
+            cands, builder = unified_cands(scores), build_unified_problem
+        problems = [builder("u", cands, reps, groups, categories, configs[0])]
+        points = [p for c in configs for p in reweighted(problems, cands, c)]
+        return problems, points
+
+    return build
+
+
+class TestNarrowed:
+    """``narrowed`` drops only candidates that no additive point chooses."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_narrowed_problems_solve_alike(self, data):
+        build = narrowing_case(data.draw)
+        margin = solver_module._margin(*build(0.0))
+        built, points = build(margin)
+        assert solver_module._margin(built, points) == margin
+        part, = narrowed(built, points)
+        for full in points:
+            got = solve(dataclasses.replace(full, **{
+                name: getattr(part, name) for name in (
+                    "items", "relevance", "is_repeat", "category",
+                    "fairness_coef")}))
+            want = solve(full)
+            assert got.items == want.items
+            assert got.objective == want.objective
+
+    def test_drops_only_past_the_margin(self):
+        # K = 1: a candidate goes when one more relevant candidate of its
+        # class leads it by more than the margin
+        cfg = RerankConfig(k=1, objective_kind="raif", alpha=1.0,
+                           exposure=ExposureModel("uniform"))
+        base = dataclasses.replace(cfg, objective_kind="relevance_only",
+                                   alpha=0.0)
+        groups = groups_for("abc", {"a", "b"})  # c is of another class
+
+        def problem(scores, c):
+            return build_unified_problem("u", unified_cands(scores), {},
+                                         groups, {}, c)
+
+        scores = {"a": 0.9, "b": 0.5, "c": 0.5}
+        points = [problem(scores, base), problem(scores, cfg)]
+        margin = solver_module._margin([points[0]], points)
+        for gap, kept in ((margin * 0.999, ["a", "b", "c"]),
+                          (margin * 1.001, ["a", "c"])):
+            scores = {"a": 0.9, "b": 0.9 - gap, "c": 0.5}
+            part, = narrowed([problem(scores, base)], points)
+            assert part.items == kept
+            assert part.relevance == [scores[i] for i in kept]
+
+    def test_margin_leaves_room_for_rounding(self):
+        # "a" trails "b" by just over the tie tolerance, yet after rounding
+        # the solver ties them, and the tie rule takes "a": it must stay
+        cfg = RerankConfig(k=1, objective_kind="raif", alpha=0.3,
+                           exposure=ExposureModel("uniform"))
+        scores = {"b": 1.0, "a": 1.0 - solver_module._TIE_TOL * (1 + 2 ** -20)}
+        problem = build_unified_problem("u", unified_cands(scores), {},
+                                        groups_for("ab", ()), {}, cfg)
+        assert solve(problem).items == ["a"]
+        part, = narrowed([problem], [problem])
+        assert part.items == ["b", "a"]
+
+    @pytest.mark.parametrize("point", [
+        dict(objective_kind="radiv", epsilon=0.1),
+        dict(objective_kind="raif", alpha=1.0,
+             exposure=ExposureModel("log_discount"))])
+    def test_coverage_or_exposure_points_keep_problems_whole(self, point):
+        # with any such point every problem is returned as it is, although
+        # "c" trails "a" by far in its class
+        scores = {"a": 0.9, "b": 0.8, "c": 0.1}
+        groups = groups_for("abc", {"a", "c"})
+        cands = unified_cands(scores)
+        problems = [build_unified_problem("u", cands, {}, groups, {},
+                                          RerankConfig(k=1))]
+        points = [p for c in (RerankConfig(k=1), RerankConfig(k=1, **point))
+                  for p in reweighted(problems, cands, c)]
+        assert narrowed(problems, points[:1])[0].items == ["a", "b"]
+        assert narrowed(problems, points) is problems
+
+    def test_exposure_dp_chooses_a_dominated_candidate(self):
+        # i4 has two candidates of its class (repeat, coefficient 0.5) ahead
+        # of it by 0.5 and 0.4, yet log-discount exposure puts it in the
+        # answer: position-dependent points leave problems whole
+        problem = RerankProblem(
+            "u", [f"i{j}" for j in range(5)], [0.9, 0.8, 0.7, 0.5, 0.4],
+            [True, True, False, False, True], ["c"] * 5,
+            [0.5, 0.5, 0.5, -0.25, 0.5], "unified", 2, 0, 1.0, 0.0, 3.0,
+            -0.1, 2, ExposureModel("log_discount"), "raif")
+        assert solve(problem).items == ["i3", "i4"]
+        without = dataclasses.replace(
+            problem, **{name: getattr(problem, name)[:4] for name in (
+                "items", "relevance", "is_repeat", "category",
+                "fairness_coef")})
+        assert solve(without).items == ["i0", "i3"]
 
 
 def test_solves_leave_no_cyclic_garbage(monkeypatch):

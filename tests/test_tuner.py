@@ -3,24 +3,20 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from basket_rerank import tuner
 from basket_rerank.dataset import ground_truth_repeat_ratio
 from basket_rerank.errors import UsageError
 from basket_rerank.objective import (ExposureModel, RerankConfig,
-                                     RerankProblem,
                                      build_combined_problem,
                                      build_unified_problem, choose_sign_mode,
                                      compute_h_theta, original_topk,
                                      reweighted)
 from basket_rerank.scorer import CandidateSet, rank_pairs
-from basket_rerank.solver import solve
 from basket_rerank.tuner import (GridSpec, final_evaluate,
                                  rerank_and_evaluate, run_grid, theta_deciles,
                                  write_chosen_config, write_sweep_csv)
 from tests.conftest import TOY_K, TOY_N
-from tests.test_objective import combined_cands, groups_for, unified_cands
 
 
 def small_grid(**kwargs):
@@ -395,114 +391,16 @@ class TestBuildOnce:
                     assert getattr(new, name) is getattr(old, name)
 
 
-def narrowing_case(draw):
-    """A tie-heavy grid for ``_narrowed``: a function of the margin giving
-    the candidates and the built problem, and the configs. Relevance comes
-    from three levels, some lowered by the margin times just under or over
-    one, or by twice the margin."""
-    k = draw(st.integers(1, 3), label="k")
-    kind = draw(st.sampled_from(["radiv", "raif"]), label="kind")
-    combined = draw(st.booleans(), label="combined")
-    n = draw(st.integers(k + 1, 14), label="n")
-    rows = draw(st.lists(st.tuples(
-        st.sampled_from([1.0, 0.6, 0.3]),                         # level
-        st.sampled_from([0.0, 1 - 2 ** -20, 1 + 2 ** -20, 2.0]),  # gap
-        st.booleans(),                                            # repeat
-        st.sampled_from("ab"),                                    # category
-        st.booleans()),                                           # popular
-        min_size=n, max_size=n), label="rows")
-    ids = [f"i{j:02d}" for j in draw(st.permutations(range(n)), label="ids")]
-    # large weights make rounding errors as large as the tie tolerance
-    weight = draw(st.sampled_from([0.3, 2.0, 1e6]), label="weight")
-    lam = draw(st.sampled_from([0.0, 0.4, 1e6]), label="lambda")
-    theta = draw(st.sampled_from([-1.0, 0.5, 0.8, 2.0]), label="theta")
-    sign = draw(st.sampled_from(["penalize_repeat", "reward_repeat"]),
-                label="sign")
-    categories = {i: row[3] for i, row in zip(ids, rows)}
-    groups = groups_for(ids, [i for i, row in zip(ids, rows) if row[4]])
-    reps = {"u": frozenset(i for i, row in zip(ids, rows) if row[2])}
-    cfg = RerankConfig(k=k, theta=theta, sign_mode=sign,
-                       exposure=ExposureModel("uniform"))
-    configs = [dataclasses.replace(cfg, objective_kind="relevance_only"),
-               dataclasses.replace(cfg, objective_kind=kind, lam=lam,
-                                   epsilon=weight if kind == "radiv" else 0.0,
-                                   alpha=weight if kind == "raif" else 0.0)]
-
-    def build(margin):
-        scores = {i: level - gap * margin
-                  for i, (level, gap, *_) in zip(ids, rows)}
-        if combined:
-            cands = combined_cands(
-                {i: s for i, s in scores.items() if i in reps["u"]},
-                {i: s for i, s in scores.items() if i not in reps["u"]})
-            builder = build_combined_problem
-        else:
-            cands, builder = unified_cands(scores), build_unified_problem
-        return cands, [builder("u", cands, reps, groups, categories,
-                               configs[0])]
-
-    return build, configs
-
-
 class TestNarrowing:
-    """``run_grid`` solves problems without their class-dominated
-    candidates when no grid point has a position-dependent term."""
+    """``run_grid`` solves problems without the candidates no point can
+    choose when every point is additive (``solver.narrowed``)."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_narrowed_problems_solve_alike(self, data):
-        build, configs = narrowing_case(data.draw)
-        cands, built = build(tuner._margin(build(0.0)[1], configs))
-        narrowed = tuner._narrowed(built, configs)
-        for cfg in configs:
-            full, = reweighted(built, cands, cfg)
-            part, = reweighted(narrowed, cands, cfg)
-            want, got = solve(full), solve(part)
-            assert got.items == want.items
-            assert got.objective == want.objective
-
-    def test_drops_only_past_the_margin(self):
-        # K = 1: a candidate goes when one more relevant candidate of its
-        # class leads it by more than the margin
-        cfg = RerankConfig(k=1, objective_kind="raif", alpha=1.0,
-                           exposure=ExposureModel("uniform"))
-        configs = [dataclasses.replace(cfg, objective_kind="relevance_only",
-                                       alpha=0.0), cfg]
-        scores = {"a": 0.9, "b": 0.5, "c": 0.5}
-        groups = groups_for("abc", {"a", "b"})  # c is of another class
-        problem = build_unified_problem("u", unified_cands(scores), {},
-                                        groups, {}, cfg)
-        margin = tuner._margin([problem], configs)
-        for gap, kept in ((margin * 0.999, ["a", "b", "c"]),
-                          (margin * 1.001, ["a", "c"])):
-            scores = {"a": 0.9, "b": 0.9 - gap, "c": 0.5}
-            problem = build_unified_problem("u", unified_cands(scores), {},
-                                            groups, {}, cfg)
-            narrowed, = tuner._narrowed([problem], configs)
-            assert narrowed.items == kept
-            assert narrowed.relevance == [scores[i] for i in kept]
-
-    def test_exposure_dp_chooses_a_dominated_candidate(self):
-        # i4 has two candidates of its class (repeat, coefficient 0.5) ahead
-        # of it by 0.5 and 0.4, yet log-discount exposure puts it in the
-        # answer: the DP's grids stay whole
-        problem = RerankProblem(
-            "u", [f"i{j}" for j in range(5)], [0.9, 0.8, 0.7, 0.5, 0.4],
-            [True, True, False, False, True], ["c"] * 5,
-            [0.5, 0.5, 0.5, -0.25, 0.5], "unified", 2, 0, 1.0, 0.0, 3.0,
-            -0.1, 2, ExposureModel("log_discount"), "raif")
-        assert solve(problem).items == ["i3", "i4"]
-        without = dataclasses.replace(
-            problem, **{name: getattr(problem, name)[:4] for name in (
-                "items", "relevance", "is_repeat", "category",
-                "fairness_coef")})
-        assert solve(without).items == ["i0", "i3"]
-
-    @pytest.mark.parametrize("exposure, narrowed", [
-        ("log_discount", False), ("uniform", True)])
-    def test_only_position_free_grids_narrow(
-            self, exposure, narrowed, monkeypatch, toy_validation, toy_cands,
-            toy_reps, toy_groups, toy_categories):
+    @pytest.mark.parametrize("kind, exposure, narrowed", [
+        ("raif", "log_discount", False), ("raif", "uniform", True),
+        ("radiv", "uniform", False)])
+    def test_only_additive_grids_narrow(
+            self, kind, exposure, narrowed, monkeypatch, toy_validation,
+            toy_cands, toy_reps, toy_groups, toy_categories):
         sizes = []
         rerank_all = tuner.rerank_all
 
@@ -513,7 +411,7 @@ class TestNarrowing:
         monkeypatch.setattr(tuner, "rerank_all", recording)
         # at K = 2 some toy users have dominated candidates
         run_grid(toy_validation, toy_cands, toy_reps, toy_groups,
-                 toy_categories, base_cfg("raif", k=2, exposure=ExposureModel(
+                 toy_categories, base_cfg(kind, k=2, exposure=ExposureModel(
                      exposure)), small_grid())
         full = {u: len(toy_cands.unified[u]) for u, _ in sizes}
         assert all(n <= full[u] for u, n in sizes)
