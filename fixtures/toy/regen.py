@@ -1,8 +1,9 @@
 """Regenerate the committed toy fixture (12 users, 30 items, 5 categories).
 
 Run from the repo root:  PYTHONPATH=src:. python3 fixtures/toy/regen.py
-(the dataset generator lives with the tests, in ``tests/synth.py``).
-The golden rerank output is produced by the brute-force oracle.
+(the dataset generator and the brute-force oracle live with the tests, in
+``tests/synth.py`` and ``tests/oracle.py``). The golden rerank output is
+produced by the oracle.
 """
 import os
 
@@ -14,7 +15,7 @@ from basket_rerank.objective import RerankConfig, build_unified_problem
 from basket_rerank.scorer import (import_scores, make_unified, save_scores,
                                   score_explore_popularity,
                                   score_repeat_topfreq)
-from basket_rerank.solver import solve_bruteforce
+from tests.oracle import solve_bruteforce
 from tests.synth import make_synthetic_dataset
 
 HERE = os.path.dirname(os.path.abspath(__file__))

@@ -11,11 +11,11 @@ from .metrics import MetricsReport, composite_metrics, diversity_score, \
     evaluate, group_exposure, log_dp, recall_at_k, repeat_metrics
 from .objective import (ExposureModel, RerankConfig, RerankProblem,
                         build_combined_problem, build_unified_problem,
-                        choose_sign_mode, compute_h_theta, objective_value)
+                        choose_sign_mode, objective_value)
 from .scorer import (CandidateSet, import_scores, make_unified,
                      score_explore_popularity, score_repeat_topfreq)
 from .solver import (RerankedBaskets, Selection, rerank_all, solve,
-                     solve_bruteforce, solve_exposure_dp, solve_topk_linear)
+                     solve_exposure_dp, solve_topk_linear)
 from .tuner import GridSpec, TuneResult, final_evaluate, run_grid
 
 __version__ = "0.1.0"

@@ -206,17 +206,6 @@ def build_unified_problem(user_id: str, cands: CandidateSet, reps: RepeatSets,
         objective_kind=cfg.objective_kind)
 
 
-def compute_h_theta(repeat_scores: list[float], theta: float, k: int,
-                    strict: bool = True) -> int:
-    """Number of repeat slots: count of repeat scores above theta (strictly,
-    or inclusively with strict=False), clamped to the basket size."""
-    if strict:
-        h_aux = sum(1 for s in repeat_scores if s > theta)
-    else:
-        h_aux = sum(1 for s in repeat_scores if s >= theta)
-    return min(h_aux, k)
-
-
 def _neg_score(pair: tuple[str, float]) -> float:
     return -pair[1]
 
@@ -227,9 +216,10 @@ def _slot_split(rep_pairs: list[tuple[str, float]], n_explore: int,
 
     H(theta) repeat slots, raised when the explore list cannot fill K - H;
     if both pools together cannot fill K, every candidate gets a slot and
-    the slots sum below K (the problem is ``short``). ``rep_pairs`` is
-    ranked by score descending, so ``compute_h_theta``'s count is a
-    bisection on the negated scores.
+    the slots sum below K (the problem is ``short``). H(theta) counts the
+    repeat scores above theta (at or above it when ``theta_strict`` is
+    off), at most K; ``rep_pairs`` is ranked by score descending, so the
+    count is a bisection on the negated scores.
     """
     cut = bisect.bisect_left if cfg.theta_strict else bisect.bisect_right
     h = min(cut(rep_pairs, -cfg.theta, key=_neg_score), cfg.k)

@@ -22,13 +22,12 @@ radiv at K=20 1.37-1.41x slower. ``_fill_ties`` answers fixed counts
 without ``_walk_ties``: the walk is 1.26-1.35x slower there.
 
 Every path rejects a pool with fewer candidates than slots
-(``_checked_pools``). ``solve_bruteforce`` enumerates every feasible
-selection. It is the testing oracle, kept independent of the paths above
-(it scores selections only through ``objective_value``). ``narrowed``
+(``_checked_pools``). Two helpers serve the tuner's grids: ``narrowed``
 drops the candidates that the closed form chooses under none of a set of
-additive weightings, for the tuner's grids.
+additive weightings, and ``settled`` certifies that an additive answer
+holds along an interval of repeat weights.
 
-One tie rule holds on every path (``_better``): a selection wins when its
+One tie rule holds on every path: a selection wins when its
 objective is higher by more than ``_TIE_TOL``; otherwise the
 lexicographically smaller position-ordered item-id sequence wins.
 ``rerank_all`` names the user in each solve error; a user that it leaves
@@ -38,16 +37,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass, replace
 
 from .errors import SolverError, UsageError
-from .objective import (RerankProblem, check_slots, indexed_objective_value,
-                        objective_value, ranked_selection)
+from .objective import RerankProblem, check_slots, indexed_objective_value
 
 _TIE_TOL = 1e-10
-_BRUTE_GUARD = 10 ** 7
 # solve_exposure_dp's first prefix, in multiples of K, and its growth factor
 _DP_START = 1.5
 _DP_GROWTH = 1.5
@@ -72,14 +70,6 @@ class RerankedBaskets:
 
     def as_item_lists(self) -> dict[str, list[str]]:
         return {u: list(s.items) for u, s in self.baskets.items()}
-
-
-def _better(obj: float, seq: tuple[str, ...], best_obj: float,
-            best_seq: tuple[str, ...] | None) -> bool:
-    """The tie rule: does (obj, seq) beat the incumbent (best_obj, best_seq)?"""
-    if obj > best_obj + _TIE_TOL:
-        return True
-    return obj >= best_obj - _TIE_TOL and seq < best_seq
 
 
 def _pools(problem: RerankProblem) -> tuple[list[list[int]], list[int]]:
@@ -514,6 +504,63 @@ def _margin(problems: list[RerankProblem], points: list[RerankProblem]
             / min(p.rel_scale for p in points))
 
 
+def settled(problem: RerankProblem, items: list[str] | tuple[str, ...]
+            ) -> bool:
+    """Is ``items``, ``solve``'s answer to ``problem``, certified along the
+    repeat weight? When two weightings of one problem that differ only in
+    ``signed_lambda`` (one column of a tuner grid) both give ``items`` and
+    are both settled, ``solve`` gives ``items`` at every weight between.
+
+    Only additive problems settle. An additive one settles when every
+    chosen candidate's adjusted value exceeds every unchosen one's by more
+    than ``_TIE_TOL`` plus a rounding room, except for pairs within one
+    block: candidates with equal repeat flag, relevance and fairness
+    coefficient, whose adjusted values are bit-equal at every weight. The
+    room, 2^-44 of a bound on an adjusted value's terms plus 1 (as in
+    ``_margin``), covers the few roundings of each adjusted value.
+
+    Proof. A gap between two candidates of different repeat flags is affine
+    in the weight; between equal flags it does not change. So a pair
+    outside the block that clears ``_TIE_TOL`` plus the room at both ends
+    clears ``_TIE_TOL`` at every weight between, rounding included. There,
+    in each pool, the chosen candidates outside the block lie more than
+    ``_TIE_TOL`` above the block and the unchosen ones more than
+    ``_TIE_TOL`` below it. The closed form then forces the same candidates
+    and leaves one tie group: the block when it has unchosen members, else
+    the chosen candidates nearest the cut, all taken. The block shares one
+    relevance, so ``_fill_ties``'s fast path takes its first members, as
+    many as at the ends. (Two blocks with chosen and unchosen members
+    cannot both clear: each would need its chosen members above the
+    other's unchosen ones by more than the tolerance.)
+
+    The exceptions are all in one block exactly when the chosen
+    candidates within the threshold (``_TIE_TOL`` plus the room) of the
+    best unchosen one and the unchosen ones within it of the worst chosen
+    one share one block: every pair within the threshold is among them, and
+    each of them is in such a pair.
+    """
+    if problem.epsilon_eff or _position_dependent(problem):
+        return False
+    if len(items) == problem.n_candidates:
+        return True
+    adj = _adjusted_values(problem)
+    inside = list(map(set(items).__contains__, problem.items))
+    rel, rep, coef = problem.relevance, problem.is_repeat, problem.fairness_coef
+    # candidates are in relevance-desc order
+    bound = (problem.rel_scale * max(abs(rel[0]), abs(rel[-1]))
+             + abs(problem.signed_lambda) / problem.k
+             + problem.alpha_eff * max(map(abs, coef)))
+    threshold = _TIE_TOL + 2.0 ** -44 * (bound + 1)
+    low = min(itertools.compress(adj, inside))
+    high = max(itertools.compress(adj, map(operator.not_, inside)))
+    if low > high + threshold:
+        return True
+    top, bottom = high + threshold, low - threshold
+    edge = {(r, x, c) for a, i, r, x, c in zip(adj, inside, rep, rel, coef)
+            if (a <= top if i else a >= bottom)}
+    return len(edge) == 1
+
+
 def solve_exposure_dp(problem: RerankProblem) -> Selection:
     """Ranking-order DP for problems with position-weighted exposure and no
     coverage term.
@@ -662,41 +709,6 @@ def solve_exposure_dp(problem: RerankProblem) -> Selection:
     check_slots(problem, selected, sum(map(rep.__getitem__, chosen)))
     obj = indexed_objective_value(problem, chosen)
     return Selection(selected, obj, "exposure_dp", nodes=m,
-                     wall_time=time.perf_counter() - start)
-
-
-def _combination_count(problem: RerankProblem) -> int:
-    total = 1
-    for pool, quota in zip(*_pools(problem)):
-        total *= math.comb(len(pool), quota)
-    return total
-
-
-def solve_bruteforce(problem: RerankProblem) -> Selection:
-    """Enumerate every feasible selection; testing oracle."""
-    from itertools import combinations, product
-
-    if _combination_count(problem) > _BRUTE_GUARD:
-        raise SolverError("enumeration too large for the brute-force oracle; "
-                          "use solve")
-    start = time.perf_counter()
-    pools, quotas = _pools(problem)
-
-    best_obj = -math.inf
-    best_seq: tuple[str, ...] | None = None
-    count = 0
-    for picks in product(combinations(pools[0], quotas[0]),
-                         combinations(pools[1], quotas[1])):
-        sel = [problem.items[j] for pick in picks for j in pick]
-        ranked = ranked_selection(problem, sel)
-        obj = objective_value(problem, ranked)
-        seq = tuple(ranked)
-        count += 1
-        if _better(obj, seq, best_obj, best_seq):
-            best_obj, best_seq = obj, seq
-    if best_seq is None:
-        raise SolverError("no feasible selection")
-    return Selection(list(best_seq), best_obj, "brute_force", nodes=count,
                      wall_time=time.perf_counter() - start)
 
 

@@ -5,15 +5,38 @@ diversity program) or minimize mFR (for the fairness program).
 ``run_grid`` builds each validation user's problem once per call. Between
 grid points only the term weights change, and for combined candidates the
 H(theta) slot split, so each point re-weights the built problems instead of
-building them again. Two exact memos, local to one call, skip repeated
-work:
+building them again.
 
-* per user, the previous point's problem key (weights, slots, objective
-  kind) and selection: a user whose re-weighted problem is unchanged keeps
-  that selection without a solve. Points run weight-major with theta
-  ascending, so equal H(theta) splits come one after another;
+Points run weight-major, so each weight's points form a column: lambda
+ascending on unified candidates, theta ascending on combined ones. Each
+user walks each column (``_walk``): both ends are solved; an interval whose
+ends share a token is filled without a solve; an end without a token stands
+alone, and the interval shrinks by one; any other interval is split at its
+middle.
+
+* Along lambda, every basket's objective is affine in lambda. A point's
+  token is its items when ``solver.settled`` certifies them: each chosen
+  candidate beats each unchosen one by more than the tie tolerance plus a
+  rounding room, but within one block of equal repeat flag, relevance and
+  fairness coefficient. Two certified ends with the same items have them at
+  every lambda between. Only additive problems are certified, so coverage
+  columns (radiv, epsilon > 0) and exposure DP columns (log-discount raif,
+  alpha > 0) solve every point; their epsilon = 0 and alpha = 0 columns are
+  additive.
+* Along theta, a point's token is its problem key (weights, slots,
+  objective kind). H(theta) is monotone in theta, so two ends with one key
+  have that problem at every theta between.
+
+Two exact memos, local to one call, skip the rest of the repeated work:
+
+* per user, problem key -> items: a user is solved at most once per
+  distinct problem;
 * per distinct basket set, the metrics report: a point whose baskets equal
   an earlier point's reuses that report with its own config.
+
+A point keeps only each user's items, all that ``evaluate`` reads, so no
+filled point carries a stale objective. The walk holds one column at a
+time: users x column length items.
 
 Once per call, when every grid point's problem is additive (no diversity
 weight, and a fairness term only with uniform exposure), each built problem
@@ -26,30 +49,35 @@ half the candidates. Radiv grids (with a diversity weight) and the exposure
 DP's (raif with log-discount exposure) stay whole: there a candidate's
 worth depends on the categories chosen with it or on its basket position.
 
-So a point costs its solves. Besides them, a point makes one
-``RerankProblem`` per user that shares the built candidate lists, finds
-H(theta) by bisection on the ranked repeat list, and copies a reused
-report's config shallowly (``RerankConfig.snapshot``). On the ``tune``
-benchmark (40 users, K=20, 336 points on two candidate kinds, seed 1, one
-core of a 2-vCPU host), a point takes about 0.36 ms untraced; in a traced
-run, solves are about 81% of ``run_grid`` and the tuner's own bookkeeping
-about 14%.
+Besides its solves, a point makes one ``RerankProblem`` per user that
+shares the built candidate lists, finds H(theta) by bisection on the ranked
+repeat list, and copies a reused report's config shallowly
+(``RerankConfig.snapshot``); a unified point that is solved is also
+certified. On the ``tune`` benchmark (uniform raif, 20 validation users,
+K=20, 336 points on two candidate kinds, seed 1, one core of a 2-vCPU
+host), a round makes 1,964 solves (776 unified, 1,188 combined) against
+5,368 when every point was solved, and a point takes about 0.24 ms; in a
+traced run, solves are about half of ``run_grid``, and the tuner's own
+work, certificates included, about 40%.
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
+import itertools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .dataset import ItemGroups, RepeatSets, SplitDataset, ground_truth_repeat_ratio
-from .errors import DataError, UsageError
+from .errors import DataError, SolverError, UsageError
 from .metrics import MetricsReport, evaluate
 from .objective import (RerankConfig, RerankProblem, build_problems,
                         choose_sign_mode, original_topk, reweighted)
 from .scorer import CandidateSet
-from .solver import RerankedBaskets, Selection, narrowed, rerank_all
+from .solver import narrowed, rerank_all, settled, solve
 
 DEFAULT_EPSILON_GRID = [0, 0.001, 0.01, 0.02, 0.04, 0.06, 0.08, 0.1,
                         0.12, 0.14, 0.16, 0.18, 0.2]
@@ -142,6 +170,40 @@ def grid_points(kind: str, cands_kind: str, grid: GridSpec,
     return [(w, 0.0, th) for w in weights for th in thetas]
 
 
+def _walk(size: int, token_at: Callable[[int], tuple[object, tuple]]
+          ) -> list[tuple]:
+    """Each point's items along one column of ``size`` points, from
+    ``token_at(i)``: point i's token and items. Two ends with one token,
+    not None, have those items at every point between them.
+
+    The walk takes both ends of the column. An interval whose ends share a
+    token is filled; an end with no token stands alone, and the interval
+    shrinks by one; otherwise the interval is split at its middle.
+    """
+    got = [token_at(0)] * size
+    if size > 1:
+        got[-1] = token_at(size - 1)
+    stack = [(0, size - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if hi - lo < 2:
+            continue
+        token = got[lo][0]
+        if token is not None and token == got[hi][0]:
+            got[lo + 1:hi] = [got[lo]] * (hi - lo - 1)
+        elif token is None:
+            got[lo + 1] = token_at(lo + 1)
+            stack.append((lo + 1, hi))
+        elif got[hi][0] is None:
+            got[hi - 1] = token_at(hi - 1)
+            stack.append((lo, hi - 1))
+        else:
+            mid = (lo + hi) // 2
+            got[mid] = token_at(mid)
+            stack += [(lo, mid), (mid, hi)]
+    return [items for _, items in got]
+
+
 def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
              groups: ItemGroups, categories: dict[str, str],
              cfg: RerankConfig, grid: GridSpec) -> TuneResult:
@@ -152,7 +214,11 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
     theta and sign mode (from the validation repeat ratio) itself.
 
     Before the first point, the problems drop each candidate that no point
-    can choose (``solver.narrowed``, additive grids only)."""
+    can choose (``solver.narrowed``, additive grids only). Then each user
+    walks each weight's column of points (``_walk``): a user is solved only
+    where the walk cannot fill a point, at most once per distinct problem.
+    The sweep and the chosen config are those of a solve at every point. A
+    solve that fails raises SolverError naming the user."""
     if cfg.objective_kind not in ("radiv", "raif"):
         raise UsageError("run_grid tunes radiv or raif objectives only")
     if split.split_label != "validation":
@@ -185,47 +251,77 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
               for p in reweighted(problems[:1], cands, c)]
     problems = narrowed(problems, points)
 
-    # user id -> problem key and selection at the previous point
-    keys: dict[str, tuple] = {}
-    selections: dict[str, Selection] = {}
+    # per user: problem key -> items
+    memos: dict[str, dict[tuple, tuple[str, ...]]] = {
+        p.user_id: {} for p in problems}
     # basket set (each user's items, in user-id order) -> its report. Every
     # point of one call shares K, exposure, omega, log base and
     # rep_ratio_gt, which are all that ``evaluate`` reads besides the
     # baskets, so equal baskets give an equal report but for its config.
     reports: dict[tuple, MetricsReport] = {}
 
-    def report_at(pcfg: RerankConfig) -> MetricsReport:
-        keyed = [(_problem_key(p), p) for p in reweighted(problems, cands, pcfg)]
-        selections.update(rerank_all(
-            [p for key, p in keyed if keys.get(p.user_id) != key]).baskets)
-        keys.update((p.user_id, key) for key, p in keyed)
-        # problems are in user-id order, as rerank_all solves them
-        baskets = {p.user_id: selections[p.user_id] for _, p in keyed}
-        basket_set = tuple(tuple(s.items) for s in baskets.values())
+    def solved(problem: RerankProblem) -> tuple[tuple, tuple[str, ...]]:
+        key = _problem_key(problem)
+        memo = memos[problem.user_id]
+        items = memo.get(key)
+        if items is None:
+            try:
+                items = memo[key] = tuple(solve(problem).items)
+            except Exception as exc:  # noqa: BLE001 - reported per user
+                raise SolverError(f"user {problem.user_id!r}: {exc}") from exc
+        return key, items
+
+    def report_at(pcfg: RerankConfig, baskets: dict[str, tuple[str, ...]]
+                  ) -> MetricsReport:
+        basket_set = tuple(baskets.values())
         if basket_set in reports:
             return dataclasses.replace(reports[basket_set],
                                        config=pcfg.snapshot())
-        reports[basket_set] = evaluate(RerankedBaskets(baskets), split, reps,
-                                       groups, categories, pcfg,
+        reports[basket_set] = evaluate(baskets, split, reps, groups,
+                                       categories, pcfg,
                                        rep_ratio_gt=rep_ratio_gt)
         return reports[basket_set]
 
-    baseline = report_at(baseline_cfg)
+    # problems are in user-id order
+    baseline = report_at(baseline_cfg, {
+        p.user_id: solved(p)[1]
+        for p in reweighted(problems, cands, baseline_cfg)})
     floor = (1.0 - cfg.recall_tolerance) * baseline.recall
 
     results: list[tuple[RerankConfig, MetricsReport]] = []
     best_cfg: RerankConfig | None = None
     best_score: float | None = None
     feasible = 0
-    for pcfg in configs:
-        report = report_at(pcfg)
-        results.append((pcfg, report))
-        if report.recall < floor:
-            continue
-        feasible += 1
-        score = report.m_dr if cfg.objective_kind == "radiv" else -report.m_fr
-        if best_score is None or score > best_score:
-            best_cfg, best_score = pcfg, score
+    lam_column = cands.kind == "unified"
+    # points run weight-major: one column per weight
+    for _, column in itertools.groupby(configs,
+                                       key=lambda c: (c.epsilon, c.alpha)):
+        column = list(column)
+        # each point's re-weighted problems, made when first needed
+        at: list[list[RerankProblem] | None] = [None] * len(column)
+
+        def token_at(u: int, i: int) -> tuple[object, tuple[str, ...]]:
+            if at[i] is None:
+                at[i] = reweighted(problems, cands, column[i])
+            problem = at[i][u]
+            key, items = solved(problem)
+            if not lam_column:
+                return key, items
+            return (items if settled(problem, items) else None), items
+
+        walks = [_walk(len(column), functools.partial(token_at, u))
+                 for u in range(len(problems))]
+        for i, pcfg in enumerate(column):
+            report = report_at(pcfg, {p.user_id: walk[i]
+                                      for p, walk in zip(problems, walks)})
+            results.append((pcfg, report))
+            if report.recall < floor:
+                continue
+            feasible += 1
+            score = (report.m_dr if cfg.objective_kind == "radiv"
+                     else -report.m_fr)
+            if best_score is None or score > best_score:
+                best_cfg, best_score = pcfg, score
 
     return TuneResult(best_cfg or baseline_cfg, results, baseline, feasible)
 

@@ -20,9 +20,10 @@ from basket_rerank.objective import (OBJECTIVE_KINDS, ExposureModel,
 from basket_rerank.scorer import (CandidateSet, make_unified, rank_pairs,
                                   score_explore_popularity,
                                   score_repeat_topfreq)
-from basket_rerank.solver import rerank_all, solve, solve_bruteforce
+from basket_rerank.solver import rerank_all, solve
 from basket_rerank.tuner import GridSpec, rerank_and_evaluate, run_grid, write_sweep_csv
 from tests.conftest import TOY_K, TOY_N
+from tests.oracle import solve_bruteforce
 from tests.synth import (make_synthetic_dataset, random_combined_instance,
                          random_unified_instance)
 

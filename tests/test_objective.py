@@ -10,9 +10,10 @@ from basket_rerank.errors import DataError, UsageError
 from basket_rerank.objective import (ExposureModel, RerankConfig, _slot_split,
                                      build_combined_problem, build_problems,
                                      build_unified_problem, choose_sign_mode,
-                                     compute_h_theta, indexed_objective_value,
-                                     objective_value, original_topk)
+                                     indexed_objective_value, objective_value,
+                                     original_topk)
 from basket_rerank.scorer import CandidateSet, rank_pairs
+from tests.oracle import compute_h_theta
 from tests.synth import random_combined_instance, random_unified_instance
 
 

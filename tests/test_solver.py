@@ -7,7 +7,7 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basket_rerank.errors import SolverError, UsageError
 from basket_rerank.objective import (OBJECTIVE_KINDS, ExposureModel,
@@ -17,10 +17,10 @@ from basket_rerank.objective import (OBJECTIVE_KINDS, ExposureModel,
                                      reweighted)
 from basket_rerank import solver as solver_module
 from basket_rerank.scorer import CandidateSet
-from basket_rerank.solver import (narrowed, rerank_all, solve,
-                                  solve_bruteforce, solve_exposure_dp,
-                                  solve_topk_linear)
+from basket_rerank.solver import (narrowed, rerank_all, settled, solve,
+                                  solve_exposure_dp, solve_topk_linear)
 from tests.conftest import toy_path
+from tests.oracle import solve_bruteforce
 from tests.synth import random_combined_instance, random_unified_instance
 from tests.test_objective import combined_cands, groups_for, unified_cands
 
@@ -928,6 +928,117 @@ class TestNarrowed:
                 "items", "relevance", "is_repeat", "category",
                 "fairness_coef")})
         assert solve(without).items == ["i0", "i3"]
+
+
+# cross-flag gaps, in units of the tie tolerance, at which a column's
+# repeat weights sit around a crossing
+CROSSING_OFFSETS = [-2.0, -(1 + 2 ** -20), -1.0, -(1 - 2 ** -20), -0.5, 0.0,
+                    0.5, 1 - 2 ** -20, 1.0, 1 + 2 ** -20, 2.0]
+
+
+def settled_column(rng):
+    """One user's unified problem along a column of repeat weights, and
+    whether it is additive.
+
+    Relevance comes from three levels, some lowered by the tie tolerance
+    (over the relevance scale) times a half, just under or over one, or
+    two, so equal-relevance blocks and chains of near ties are common.
+    The column holds 0, a weight where a repeat and an explore candidate
+    cross, some weights around it where their gap is a multiple of the
+    tolerance, and one far past it. Raif has no, a small, a large or a
+    huge fairness weight (rounding errors then near the tolerance). One
+    column in three is a coverage (radiv) or exposure (log-discount raif)
+    problem instead."""
+    tol = solver_module._TIE_TOL
+    k = rng.randint(1, 4)
+    n = rng.randint(k + 1, 12)
+    kind = rng.choice(["raif", "radiv"])
+    rel_scale = 1.0 if kind == "raif" else 1.0 / k
+    alpha = rng.choice([0.0, 1e-3, 50.0, 1e6]) if kind == "raif" else 0.0
+    rows = sorted(((rng.choice([1.0, 0.6, 0.3])
+                    - rng.choice([0.0, 0.5, 1 - 2 ** -20, 1 + 2 ** -20, 2.0])
+                    * tol / rel_scale,
+                    rng.random() < 0.5, rng.random() < 0.5)
+                   for _ in range(n)), reverse=True)
+    ids = [f"i{j:02d}" for j in range(n)]
+    rng.shuffle(ids)
+    rel = [r for r, _, _ in rows]
+    rep = [r for _, r, _ in rows]
+    popular = sum(p for _, _, p in rows)
+    coef = [1 / popular if p else -1 / (n - popular) for _, _, p in rows]
+    additive = rng.random() < 2 / 3
+    epsilon, exposure = 0.0, "uniform"
+    if not additive:
+        if kind == "radiv":
+            epsilon = 0.1
+        else:
+            alpha, exposure = alpha or 1.0, "log_discount"
+    sign = rng.choice([-1.0, 1.0])
+    base = RerankProblem(
+        user_id="u", items=ids, relevance=rel, is_repeat=rep,
+        category=[rng.choice("ab") for _ in ids], fairness_coef=coef,
+        kind="unified", repeat_slots=k, explore_slots=0, rel_scale=rel_scale,
+        epsilon_eff=epsilon, alpha_eff=alpha, signed_lambda=0.0, k=k,
+        exposure=ExposureModel(exposure), objective_kind=kind)
+    crossings = [lam for r, e in itertools.product(range(n), repeat=2)
+                 if rep[r] and not rep[e]
+                 for lam in [-sign * k * (rel_scale * (rel[r] - rel[e])
+                                          - alpha * (coef[r] - coef[e]))]
+                 if lam >= 0]
+    cross = rng.choice(crossings) if crossings else 0.0
+    lams = {0.0, cross + 0.3}
+    for offset in rng.sample(CROSSING_OFFSETS,
+                             rng.randint(3, len(CROSSING_OFFSETS))):
+        lams.add(max(0.0, cross + offset * k * tol))
+    return [dataclasses.replace(base, signed_lambda=sign * lam)
+            for lam in sorted(lams)], additive
+
+
+class TestSettled:
+    """``settled`` certifies an additive answer along repeat weights."""
+
+    # seeds on which a certificate without its blocks or its rounding room,
+    # or with none at all, accepts an interval whose answer changes inside
+    @example(random.Random(86))
+    @example(random.Random(100))
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_settled_ends_hold_between(self, rng):
+        column, additive = settled_column(rng)
+        answers = [solve(p).items for p in column]
+        marks = [settled(p, items) for p, items in zip(column, answers)]
+        if not additive:
+            assert not any(marks)
+        for lo, hi in itertools.combinations(range(len(column)), 2):
+            if marks[lo] and marks[hi] and answers[lo] == answers[hi]:
+                assert answers[lo:hi + 1] == [answers[lo]] * (hi + 1 - lo)
+
+    def test_one_block_at_the_cut(self):
+        # b and c are one block (explore, relevance 0.5, one coefficient):
+        # K = 2 takes a and the first of them at every repeat weight
+        problem = RerankProblem(
+            "u", ["a", "b", "c"], [0.9, 0.5, 0.5], [True, False, False],
+            ["x"] * 3, [0.5, -0.5, -0.5], "unified", 2, 0, 1.0, 0.0, 0.0,
+            0.0, 2, ExposureModel("uniform"), "raif")
+        assert solve(problem).items == ["a", "b"]
+        assert settled(problem, ["a", "b"])
+        # with another coefficient c leaves the block: b and c tie only here
+        other = dataclasses.replace(problem, fairness_coef=[0.5, -0.5, 0.5])
+        assert solve(other).items == ["a", "b"]
+        assert not settled(other, ["a", "b"])
+
+    def test_room_past_the_tolerance(self):
+        # a leads b by the tie tolerance and a little more: solve separates
+        # them, but the gap leaves no room for rounding
+        tol = solver_module._TIE_TOL
+        problem = RerankProblem(
+            "u", ["b", "a"], [0.5 + tol * (1 + 2 ** -20), 0.5], [True, False],
+            ["x"] * 2, [0.0, 0.0], "unified", 1, 0, 1.0, 0.0, 0.0, 0.0, 1,
+            ExposureModel("uniform"), "raif")
+        assert solve(problem).items == ["b"]
+        assert not settled(problem, ["b"])
+        wide = dataclasses.replace(problem, relevance=[0.5 + 2 * tol, 0.5])
+        assert settled(wide, ["b"])
 
 
 def test_solves_leave_no_cyclic_garbage(monkeypatch):

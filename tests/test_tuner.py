@@ -5,18 +5,23 @@ import json
 import pytest
 
 from basket_rerank import tuner
-from basket_rerank.dataset import ground_truth_repeat_ratio
-from basket_rerank.errors import UsageError
+from basket_rerank.dataset import (build_item_groups, build_repeat_sets,
+                                   ground_truth_repeat_ratio,
+                                   split_leave_last)
+from basket_rerank.errors import SolverError, UsageError
 from basket_rerank.objective import (ExposureModel, RerankConfig,
-                                     build_combined_problem,
+                                     build_combined_problem, build_problems,
                                      build_unified_problem, choose_sign_mode,
-                                     compute_h_theta, original_topk,
-                                     reweighted)
-from basket_rerank.scorer import CandidateSet, rank_pairs
-from basket_rerank.tuner import (GridSpec, final_evaluate,
+                                     original_topk, reweighted)
+from basket_rerank.scorer import (CandidateSet, make_unified, rank_pairs,
+                                  score_explore_popularity,
+                                  score_repeat_topfreq)
+from basket_rerank.tuner import (GridSpec, TuneResult, final_evaluate,
                                  rerank_and_evaluate, run_grid, theta_deciles,
                                  write_chosen_config, write_sweep_csv)
 from tests.conftest import TOY_K, TOY_N
+from tests.oracle import compute_h_theta
+from tests.synth import make_synthetic_dataset
 
 
 def small_grid(**kwargs):
@@ -34,21 +39,20 @@ def base_cfg(kind="radiv", **kwargs):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the tuner's ``evaluate`` calls and of the problems it
-    passes to ``rerank_all`` (one solve each)."""
+    """Counts of the tuner's ``evaluate`` and ``solve`` calls."""
     counts = {"evaluations": 0, "solves": 0}
-    evaluate, rerank_all = tuner.evaluate, tuner.rerank_all
+    evaluate, solve = tuner.evaluate, tuner.solve
 
     def counting_evaluate(*args, **kwargs):
         counts["evaluations"] += 1
         return evaluate(*args, **kwargs)
 
-    def counting_rerank_all(problems, *args, **kwargs):
-        counts["solves"] += len(problems)
-        return rerank_all(problems, *args, **kwargs)
+    def counting_solve(problem):
+        counts["solves"] += 1
+        return solve(problem)
 
     monkeypatch.setattr(tuner, "evaluate", counting_evaluate)
-    monkeypatch.setattr(tuner, "rerank_all", counting_rerank_all)
+    monkeypatch.setattr(tuner, "solve", counting_solve)
     return counts
 
 
@@ -402,13 +406,13 @@ class TestNarrowing:
             self, kind, exposure, narrowed, monkeypatch, toy_validation,
             toy_cands, toy_reps, toy_groups, toy_categories):
         sizes = []
-        rerank_all = tuner.rerank_all
+        solve = tuner.solve
 
-        def recording(problems, *args, **kwargs):
-            sizes.extend((p.user_id, p.n_candidates) for p in problems)
-            return rerank_all(problems, *args, **kwargs)
+        def recording(problem):
+            sizes.append((problem.user_id, problem.n_candidates))
+            return solve(problem)
 
-        monkeypatch.setattr(tuner, "rerank_all", recording)
+        monkeypatch.setattr(tuner, "solve", recording)
         # at K = 2 some toy users have dominated candidates
         run_grid(toy_validation, toy_cands, toy_reps, toy_groups,
                  toy_categories, base_cfg(kind, k=2, exposure=ExposureModel(
@@ -468,3 +472,150 @@ class TestArtifacts:
         payload = json.loads(path.read_text())
         assert payload["best"] == result.best.snapshot()
         assert payload["infeasible"] == result.infeasible
+
+
+@pytest.fixture(scope="module")
+def synth_inputs():
+    """Tie-heavy tuning inputs from the built-in scorers: frequency and
+    popularity scores repeat, so many candidates tie. (validation split,
+    unified and combined candidates, repeat sets, groups, categories)."""
+    ds = make_synthetic_dataset(n_users=24, n_items=40, n_categories=6,
+                                seed=3)
+    train, validation, _ = split_leave_last(ds, 3)
+    reps = build_repeat_sets(train)
+    repeat_side = score_repeat_topfreq(train, reps, 20)
+    explore_side = score_explore_popularity(train, reps, 20)
+    cands = {"unified": make_unified(repeat_side, explore_side, mix=0.5, n=20),
+             "combined": CandidateSet(kind="combined",
+                                      repeat_list=repeat_side,
+                                      explore_list=explore_side)}
+    return validation, cands, reps, build_item_groups(train), ds.categories
+
+
+# the default lambda grid, and weights from none to large
+WALK_GRID = GridSpec(epsilon_grid=[0.0, 0.01, 0.1], alpha_grid=[0.0, 0.01, 1, 50])
+
+
+def shape_args(source, candidates, kind, exposure, request):
+    """run_grid's arguments on the toy fixture or the synthetic inputs."""
+    if source == "toy":
+        cands = request.getfixturevalue(
+            "toy_cands" if candidates == "unified" else "toy_combined_cands")
+        return (request.getfixturevalue("toy_validation"), cands,
+                request.getfixturevalue("toy_reps"),
+                request.getfixturevalue("toy_groups"),
+                request.getfixturevalue("toy_categories"),
+                base_cfg(kind, exposure=ExposureModel(exposure)), WALK_GRID)
+    validation, cands, reps, groups, categories = \
+        request.getfixturevalue("synth_inputs")
+    return (validation, cands[candidates], reps, groups, categories,
+            RerankConfig(k=5, n=20, objective_kind=kind,
+                         exposure=ExposureModel(exposure)), WALK_GRID)
+
+
+SHAPES = [(kind, exposure, candidates) for kind in ("radiv", "raif")
+          for exposure in ("uniform", "log_discount")
+          for candidates in ("unified", "combined")]
+
+
+class TestColumnWalk:
+    """``run_grid`` solves a user at a point only when the column walk
+    cannot fill it; every point must still match a fresh solve."""
+
+    @pytest.mark.parametrize("kind, exposure, candidates", SHAPES)
+    @pytest.mark.parametrize("source", ["toy", "synth"])
+    def test_matches_per_point_solves(self, source, kind, exposure,
+                                      candidates, tmp_path, request):
+        args = shape_args(source, candidates, kind, exposure, request)
+        best, results, baseline = reference_grid(*args)
+        floor = (1 - args[5].recall_tolerance) * baseline.recall
+        reference = TuneResult(best, results, baseline,
+                               sum(r.recall >= floor for _, r in results))
+        files = []
+        for result in (run_grid(*args), reference):
+            path = tmp_path / "sweep.csv"
+            write_sweep_csv(result, str(path))
+            files.append(path.read_bytes())
+            path = tmp_path / "chosen.json"
+            write_chosen_config(result, str(path))
+            files.append(path.read_bytes())
+        assert files[:2] == files[2:]
+
+    @pytest.mark.parametrize("kind, exposure, candidates", SHAPES)
+    def test_each_problem_solved_once(self, kind, exposure, candidates,
+                                      monkeypatch, request):
+        args = shape_args("synth", candidates, kind, exposure, request)
+        solved = []
+        solve = tuner.solve
+
+        def recording(problem):
+            solved.append((problem.user_id, tuner._problem_key(problem)))
+            return solve(problem)
+
+        monkeypatch.setattr(tuner, "solve", recording)
+        result = run_grid(*args)
+        assert len(solved) == len(set(solved))
+        split, cands = args[0], args[1]
+        configs = [result.baseline.config] + [p.snapshot()
+                                              for p, _ in result.results]
+        keys = {(p.user_id, tuner._problem_key(p))
+                for c in configs
+                for p in build_problems(cands, *args[2:5], RerankConfig(**{
+                    **c, "exposure": ExposureModel(c["exposure"])}), split)}
+        per_point = n_users(cands, split) * len(configs)
+        if candidates == "combined":
+            # every distinct problem once: equal H(theta) splits share it
+            assert len(solved) == len(keys) < per_point
+        elif kind == "raif" and exposure == "uniform":
+            assert len(solved) < per_point
+        elif exposure == "log_discount" and kind == "raif":
+            # the exposure DP's columns (alpha > 0) solve every point
+            dp = [key for _, key in solved if key[2] > 0]
+            assert len(dp) == n_users(cands, split) * sum(
+                p.alpha > 0 for p, _ in result.results)
+
+    def test_solver_errors_name_the_user(self, monkeypatch, toy_validation,
+                                         toy_cands, toy_reps, toy_groups,
+                                         toy_categories):
+        solve = tuner.solve
+
+        def failing(problem):
+            if problem.user_id == "u003" and problem.signed_lambda:
+                raise ValueError("no basket")
+            return solve(problem)
+
+        monkeypatch.setattr(tuner, "solve", failing)
+        with pytest.raises(SolverError, match="^user 'u003': no basket$"):
+            run_grid(toy_validation, toy_cands, toy_reps, toy_groups,
+                     toy_categories, base_cfg("raif"), small_grid())
+
+
+class TestWalk:
+    """``tuner._walk`` over one column of tokens."""
+
+    @staticmethod
+    def walk(tokens):
+        asked = []
+
+        def token_at(i):
+            asked.append(i)
+            return tokens[i], f"items{i}" if tokens[i] is None else tokens[i]
+
+        return tuner._walk(len(tokens), token_at), sorted(asked)
+
+    def test_equal_ends_fill_the_column(self):
+        assert self.walk(["a"] * 5) == (["a"] * 5, [0, 4])
+
+    def test_an_end_without_a_token_stands_alone(self):
+        items, asked = self.walk([None, "a", "a", "a", None])
+        assert items == ["items0", "a", "a", "a", "items4"]
+        assert asked == [0, 1, 3, 4]
+
+    def test_different_ends_split_at_the_middle(self):
+        items, asked = self.walk(["a", "a", "a", "b", "b", "b", "b"])
+        assert items == ["a", "a", "a", "b", "b", "b", "b"]
+        assert asked == [0, 1, 2, 3, 6]
+
+    def test_one_point(self):
+        assert self.walk([None]) == (["items0"], [0])
+
