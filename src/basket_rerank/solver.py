@@ -24,8 +24,9 @@ without ``_walk_ties``: the walk is 1.26-1.35x slower there.
 Every path rejects a pool with fewer candidates than slots
 (``_checked_pools``). Two helpers serve the tuner's grids: ``narrowed``
 drops the candidates that the closed form chooses under none of a set of
-additive weightings, and ``settled`` certifies that an additive answer
-holds along an interval of repeat weights.
+additive weightings, and ``settled`` certifies an additive answer at a
+repeat weight: an answer solved and settled at one weight, and settled at
+another, is ``solve``'s answer at every weight between.
 
 One tie rule holds on every path: a selection wins when its
 objective is higher by more than ``_TIE_TOL``; otherwise the
@@ -506,10 +507,12 @@ def _margin(problems: list[RerankProblem], points: list[RerankProblem]
 
 def settled(problem: RerankProblem, items: list[str] | tuple[str, ...]
             ) -> bool:
-    """Is ``items``, ``solve``'s answer to ``problem``, certified along the
-    repeat weight? When two weightings of one problem that differ only in
-    ``signed_lambda`` (one column of a tuner grid) both give ``items`` and
-    are both settled, ``solve`` gives ``items`` at every weight between.
+    """Is ``items`` certified at ``problem`` along the repeat weight?
+
+    Theorem. Let ``items`` be ``solve(p)``, with ``settled(p, items)``. Let
+    q differ from p only in ``signed_lambda`` (as two points of one column
+    of a tuner grid do), with ``settled(q, items)``. Then ``solve`` gives
+    ``items`` at every weight from p to q, q included: q needs no solve.
 
     Only additive problems settle. An additive one settles when every
     chosen candidate's adjusted value exceeds every unchosen one's by more
@@ -521,17 +524,22 @@ def settled(problem: RerankProblem, items: list[str] | tuple[str, ...]
 
     Proof. A gap between two candidates of different repeat flags is affine
     in the weight; between equal flags it does not change. So a pair
-    outside the block that clears ``_TIE_TOL`` plus the room at both ends
-    clears ``_TIE_TOL`` at every weight between, rounding included. There,
-    in each pool, the chosen candidates outside the block lie more than
-    ``_TIE_TOL`` above the block and the unchosen ones more than
-    ``_TIE_TOL`` below it. The closed form then forces the same candidates
-    and leaves one tie group: the block when it has unchosen members, else
-    the chosen candidates nearest the cut, all taken. The block shares one
-    relevance, so ``_fill_ties``'s fast path takes its first members, as
-    many as at the ends. (Two blocks with chosen and unchosen members
+    outside the block that clears ``_TIE_TOL`` plus the room at p and at q
+    clears ``_TIE_TOL`` at every weight between, rounding included. A block
+    with chosen and unchosen members holds a pair with no gap, so p and q
+    share that one mixed block, or neither has one. (Two mixed blocks
     cannot both clear: each would need its chosen members above the
-    other's unchosen ones by more than the tolerance.)
+    other's unchosen ones by more than the tolerance.) At every weight from
+    p to q, then, in each pool the chosen candidates outside the block lie
+    more than ``_TIE_TOL`` above the block and the unchosen ones more than
+    ``_TIE_TOL`` below it. The closed form forces the same candidates and
+    leaves one tie group: the block when it has unchosen members, else the
+    chosen candidates nearest the cut, all taken. The block shares one
+    relevance, so ``_fill_ties``'s fast path takes its first members, as
+    many as ``items`` holds. Those are the members ``items`` holds, because
+    ``items`` is the answer at p. The certificate alone does not say which
+    members: a basket with the block's last members settles too. So one
+    end must be solved.
 
     The exceptions are all in one block exactly when the chosen
     candidates within the threshold (``_TIE_TOL`` plus the room) of the

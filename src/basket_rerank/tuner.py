@@ -9,33 +9,31 @@ building them again.
 
 Points run weight-major, so each weight's points form a column: lambda
 ascending on unified candidates, theta ascending on combined ones. Each
-user walks each column (``_walk``): both ends are solved; an interval whose
-ends share a token is filled without a solve; an end without a token stands
-alone, and the interval shrinks by one; any other interval is split at its
-middle.
+user scans each column (``_scan``): the first point not yet filled is
+solved, and its answer gives a token. The answer fills every point up to
+the last one that gives the same token for it, found at the column's end
+or by bisection; an answer without a token fills its own point alone.
 
-* Along lambda, every basket's objective is affine in lambda. A point's
-  token is its items when ``solver.settled`` certifies them: each chosen
-  candidate beats each unchosen one by more than the tie tolerance plus a
-  rounding room, but within one block of equal repeat flag, relevance and
-  fairness coefficient. Two certified ends with the same items have them at
-  every lambda between. Only additive problems are certified, so coverage
-  columns (radiv, epsilon > 0) and exposure DP columns (log-discount raif,
-  alpha > 0) solve every point; their epsilon = 0 and alpha = 0 columns are
-  additive.
-* Along theta, a point's token is its problem key (weights, slots,
-  objective kind). H(theta) is monotone in theta, so two ends with one key
-  have that problem at every theta between.
+* Along lambda, the token is the items when ``solver.settled`` certifies
+  them: each chosen candidate beats each unchosen one by more than the tie
+  tolerance plus a rounding room, but within one block of equal repeat
+  flag, relevance and fairness coefficient. An answer solved and settled at
+  one point, and settled at a later one, is the answer at every lambda
+  between (the theorem in ``settled``'s docstring). Only additive problems
+  are certified, so coverage columns (radiv, epsilon > 0) and exposure DP
+  columns (log-discount raif, alpha > 0) solve every point; their
+  epsilon = 0 and alpha = 0 columns are additive.
+* Along theta, the token is the slot split (repeat, explore). Every other
+  field of a problem is fixed along a column, and H(theta) is monotone in
+  theta, so two points with one split have that problem at every theta
+  between.
 
-Two exact memos, local to one call, skip the rest of the repeated work:
-
-* per user, problem key -> items: a user is solved at most once per
-  distinct problem;
-* per distinct basket set, the metrics report: a point whose baskets equal
-  an earlier point's reuses that report with its own config.
+One exact memo, local to one call, skips repeated evaluation: per distinct
+basket set, the metrics report. A point whose baskets equal an earlier
+point's reuses that report with its own config.
 
 A point keeps only each user's items, all that ``evaluate`` reads, so no
-filled point carries a stale objective. The walk holds one column at a
+filled point carries a stale objective. The scan holds one column at a
 time: users x column length items.
 
 Once per call, when every grid point's problem is additive (no diversity
@@ -52,13 +50,8 @@ worth depends on the categories chosen with it or on its basket position.
 Besides its solves, a point makes one ``RerankProblem`` per user that
 shares the built candidate lists, finds H(theta) by bisection on the ranked
 repeat list, and copies a reused report's config shallowly
-(``RerankConfig.snapshot``); a unified point that is solved is also
-certified. On the ``tune`` benchmark (uniform raif, 20 validation users,
-K=20, 336 points on two candidate kinds, seed 1, one core of a 2-vCPU
-host), a round makes 1,964 solves (776 unified, 1,188 combined) against
-5,368 when every point was solved, and a point takes about 0.24 ms; in a
-traced run, solves are about half of ``run_grid``, and the tuner's own
-work, certificates included, about 40%.
+(``RerankConfig.snapshot``). A lambda column whose answer never changes
+costs a user one solve and two certificates.
 """
 from __future__ import annotations
 
@@ -69,6 +62,7 @@ import itertools
 import json
 import math
 from collections.abc import Callable
+from typing import TypeVar
 from dataclasses import dataclass, field
 
 from .dataset import ItemGroups, RepeatSets, SplitDataset, ground_truth_repeat_ratio
@@ -78,6 +72,8 @@ from .objective import (RerankConfig, RerankProblem, build_problems,
                         choose_sign_mode, original_topk, reweighted)
 from .scorer import CandidateSet
 from .solver import narrowed, rerank_all, settled, solve
+
+P = TypeVar("P")
 
 DEFAULT_EPSILON_GRID = [0, 0.001, 0.01, 0.02, 0.04, 0.06, 0.08, 0.1,
                         0.12, 0.14, 0.16, 0.18, 0.2]
@@ -144,13 +140,6 @@ def rerank_and_evaluate(cands: CandidateSet, split: SplitDataset,
                     rep_ratio_gt=rep_ratio_gt)
 
 
-def _problem_key(problem: RerankProblem) -> tuple:
-    """What a re-weighted problem changes between grid points."""
-    return (problem.rel_scale, problem.epsilon_eff, problem.alpha_eff,
-            problem.signed_lambda, problem.repeat_slots, problem.explore_slots,
-            problem.objective_kind)
-
-
 def grids_read(kind: str, cands_kind: str) -> tuple[str, str]:
     """The two GridSpec fields a run reads: the weight grid (epsilon for
     radiv, alpha for raif) and lambda for unified or theta for combined
@@ -170,38 +159,37 @@ def grid_points(kind: str, cands_kind: str, grid: GridSpec,
     return [(w, 0.0, th) for w in weights for th in thetas]
 
 
-def _walk(size: int, token_at: Callable[[int], tuple[object, tuple]]
-          ) -> list[tuple]:
-    """Each point's items along one column of ``size`` points, from
-    ``token_at(i)``: point i's token and items. Two ends with one token,
-    not None, have those items at every point between them.
+def _scan(size: int, at: Callable[[int], P],
+          solved: Callable[[P], tuple[str, ...]],
+          token: Callable[[P, tuple[str, ...]], object]
+          ) -> list[tuple[str, ...]]:
+    """Each point's items along one column of ``size`` points: ``at(i)`` is
+    point i's problem, ``solved`` gives a problem's answer, and ``token``
+    what a problem gives for some items, None for nothing. An answer solved
+    at one point, with a token, holds at every point up to a later one that
+    gives the same token for it.
 
-    The walk takes both ends of the column. An interval whose ends share a
-    token is filled; an end with no token stands alone, and the interval
-    shrinks by one; otherwise the interval is split at its middle.
+    The scan solves the first point not yet filled. An answer without a
+    token fills that point alone. Otherwise the answer fills the column up
+    to its last point when that point gives the same token, else up to a
+    later point that does, found by bisection. Which point the bisection
+    finds changes only the number of solves.
     """
-    got = [token_at(0)] * size
-    if size > 1:
-        got[-1] = token_at(size - 1)
-    stack = [(0, size - 1)]
-    while stack:
-        lo, hi = stack.pop()
-        if hi - lo < 2:
-            continue
-        token = got[lo][0]
-        if token is not None and token == got[hi][0]:
-            got[lo + 1:hi] = [got[lo]] * (hi - lo - 1)
-        elif token is None:
-            got[lo + 1] = token_at(lo + 1)
-            stack.append((lo + 1, hi))
-        elif got[hi][0] is None:
-            got[hi - 1] = token_at(hi - 1)
-            stack.append((lo, hi - 1))
-        else:
-            mid = (lo + hi) // 2
-            got[mid] = token_at(mid)
-            stack += [(lo, mid), (mid, hi)]
-    return [items for _, items in got]
+    got: list[tuple[str, ...]] = []
+    while len(got) < size:
+        lo = len(got)
+        items = solved(at(lo))
+        mark = token(at(lo), items)
+        # the answer holds at lo; hi is a point known not to match, or size
+        hi = size if mark is not None else lo + 1
+        while hi - lo > 1:
+            mid = size - 1 if hi == size else (lo + hi) // 2
+            if token(at(mid), items) == mark:
+                lo = mid
+            else:
+                hi = mid
+        got += [items] * (lo + 1 - len(got))
+    return got
 
 
 def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
@@ -215,10 +203,11 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
 
     Before the first point, the problems drop each candidate that no point
     can choose (``solver.narrowed``, additive grids only). Then each user
-    walks each weight's column of points (``_walk``): a user is solved only
-    where the walk cannot fill a point, at most once per distinct problem.
-    The sweep and the chosen config are those of a solve at every point. A
-    solve that fails raises SolverError naming the user."""
+    scans each weight's column of points (``_scan``): a user is solved only
+    at the first point of each stretch that one answer fills. Equal basket
+    sets share one report. The sweep and the chosen config are those of a
+    solve at every point. A solve that fails raises SolverError naming the
+    user."""
     if cfg.objective_kind not in ("radiv", "raif"):
         raise UsageError("run_grid tunes radiv or raif objectives only")
     if split.split_label != "validation":
@@ -251,25 +240,26 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
               for p in reweighted(problems[:1], cands, c)]
     problems = narrowed(problems, points)
 
-    # per user: problem key -> items
-    memos: dict[str, dict[tuple, tuple[str, ...]]] = {
-        p.user_id: {} for p in problems}
     # basket set (each user's items, in user-id order) -> its report. Every
     # point of one call shares K, exposure, omega, log base and
     # rep_ratio_gt, which are all that ``evaluate`` reads besides the
     # baskets, so equal baskets give an equal report but for its config.
     reports: dict[tuple, MetricsReport] = {}
 
-    def solved(problem: RerankProblem) -> tuple[tuple, tuple[str, ...]]:
-        key = _problem_key(problem)
-        memo = memos[problem.user_id]
-        items = memo.get(key)
-        if items is None:
-            try:
-                items = memo[key] = tuple(solve(problem).items)
-            except Exception as exc:  # noqa: BLE001 - reported per user
-                raise SolverError(f"user {problem.user_id!r}: {exc}") from exc
-        return key, items
+    def solved(problem: RerankProblem) -> tuple[str, ...]:
+        try:
+            return tuple(solve(problem).items)
+        except Exception as exc:  # noqa: BLE001 - reported per user
+            raise SolverError(f"user {problem.user_id!r}: {exc}") from exc
+
+    if cands.kind == "unified":
+        def token(problem: RerankProblem, items: tuple[str, ...]) -> object:
+            # along lambda: the items, when ``settled`` certifies them
+            return items if settled(problem, items) else None
+    else:
+        def token(problem: RerankProblem, items: tuple[str, ...]) -> object:
+            # along theta only the slot split changes, monotonely in theta
+            return problem.repeat_slots, problem.explore_slots
 
     def report_at(pcfg: RerankConfig, baskets: dict[str, tuple[str, ...]]
                   ) -> MetricsReport:
@@ -284,7 +274,7 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
 
     # problems are in user-id order
     baseline = report_at(baseline_cfg, {
-        p.user_id: solved(p)[1]
+        p.user_id: solved(p)
         for p in reweighted(problems, cands, baseline_cfg)})
     floor = (1.0 - cfg.recall_tolerance) * baseline.recall
 
@@ -292,7 +282,6 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
     best_cfg: RerankConfig | None = None
     best_score: float | None = None
     feasible = 0
-    lam_column = cands.kind == "unified"
     # points run weight-major: one column per weight
     for _, column in itertools.groupby(configs,
                                        key=lambda c: (c.epsilon, c.alpha)):
@@ -300,20 +289,17 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
         # each point's re-weighted problems, made when first needed
         at: list[list[RerankProblem] | None] = [None] * len(column)
 
-        def token_at(u: int, i: int) -> tuple[object, tuple[str, ...]]:
+        def problem_at(u: int, i: int) -> RerankProblem:
             if at[i] is None:
                 at[i] = reweighted(problems, cands, column[i])
-            problem = at[i][u]
-            key, items = solved(problem)
-            if not lam_column:
-                return key, items
-            return (items if settled(problem, items) else None), items
+            return at[i][u]
 
-        walks = [_walk(len(column), functools.partial(token_at, u))
+        scans = [_scan(len(column), functools.partial(problem_at, u), solved,
+                       token)
                  for u in range(len(problems))]
         for i, pcfg in enumerate(column):
-            report = report_at(pcfg, {p.user_id: walk[i]
-                                      for p, walk in zip(problems, walks)})
+            report = report_at(pcfg, {p.user_id: scan[i]
+                                      for p, scan in zip(problems, scans)})
             results.append((pcfg, report))
             if report.recall < floor:
                 continue

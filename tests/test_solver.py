@@ -999,19 +999,26 @@ class TestSettled:
 
     # seeds on which a certificate without its blocks or its rounding room,
     # or with none at all, accepts an interval whose answer changes inside
+    # (86, 100), and on which skipping the certificate at the solved end
+    # does (109, 228)
     @example(random.Random(86))
     @example(random.Random(100))
+    @example(random.Random(109))
+    @example(random.Random(228))
     @settings(max_examples=300, deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_settled_ends_hold_between(self, rng):
+        # the lower end is solved, and its answer certified at both ends:
+        # the answer holds at every weight between, the upper end included
         column, additive = settled_column(rng)
         answers = [solve(p).items for p in column]
-        marks = [settled(p, items) for p, items in zip(column, answers)]
         if not additive:
-            assert not any(marks)
+            assert not any(settled(p, items)
+                           for p, items in zip(column, answers))
         for lo, hi in itertools.combinations(range(len(column)), 2):
-            if marks[lo] and marks[hi] and answers[lo] == answers[hi]:
-                assert answers[lo:hi + 1] == [answers[lo]] * (hi + 1 - lo)
+            items = answers[lo]
+            if settled(column[lo], items) and settled(column[hi], items):
+                assert answers[lo:hi + 1] == [items] * (hi + 1 - lo)
 
     def test_one_block_at_the_cut(self):
         # b and c are one block (explore, relevance 0.5, one coefficient):

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from basket_rerank.objective import (ExposureModel, RerankConfig,
 from basket_rerank.scorer import (CandidateSet, make_unified, rank_pairs,
                                   score_explore_popularity,
                                   score_repeat_topfreq)
+from basket_rerank.solver import settled
 from basket_rerank.tuner import (GridSpec, TuneResult, final_evaluate,
                                  rerank_and_evaluate, run_grid, theta_deciles,
                                  write_chosen_config, write_sweep_csv)
@@ -518,8 +520,15 @@ SHAPES = [(kind, exposure, candidates) for kind in ("radiv", "raif")
           for candidates in ("unified", "combined")]
 
 
+def problem_key(problem):
+    """What a re-weighted problem changes between grid points."""
+    return (problem.rel_scale, problem.epsilon_eff, problem.alpha_eff,
+            problem.signed_lambda, problem.repeat_slots, problem.explore_slots,
+            problem.objective_kind)
+
+
 class TestColumnWalk:
-    """``run_grid`` solves a user at a point only when the column walk
+    """``run_grid`` solves a user at a point only when the column scan
     cannot fill it; every point must still match a fresh solve."""
 
     @pytest.mark.parametrize("kind, exposure, candidates", SHAPES)
@@ -549,7 +558,7 @@ class TestColumnWalk:
         solve = tuner.solve
 
         def recording(problem):
-            solved.append((problem.user_id, tuner._problem_key(problem)))
+            solved.append((problem.user_id, problem_key(problem)))
             return solve(problem)
 
         monkeypatch.setattr(tuner, "solve", recording)
@@ -558,16 +567,28 @@ class TestColumnWalk:
         split, cands = args[0], args[1]
         configs = [result.baseline.config] + [p.snapshot()
                                               for p, _ in result.results]
-        keys = {(p.user_id, tuner._problem_key(p))
-                for c in configs
-                for p in build_problems(cands, *args[2:5], RerankConfig(**{
-                    **c, "exposure": ExposureModel(c["exposure"])}), split)}
+        built = [build_problems(cands, *args[2:5], RerankConfig(**{
+                     **c, "exposure": ExposureModel(c["exposure"])}), split)
+                 for c in configs]
+        keys = {(p.user_id, problem_key(p)) for ps in built for p in ps}
         per_point = n_users(cands, split) * len(configs)
         if candidates == "combined":
             # every distinct problem once: equal H(theta) splits share it
             assert len(solved) == len(keys) < per_point
         elif kind == "raif" and exposure == "uniform":
-            assert len(solved) < per_point
+            # per user and column (the baseline is one of its own), a solve
+            # starts a run of equal answers or serves a point whose answer
+            # is not settled; the other end of a run is certified, not solved
+            bound = 0
+            for _, column in itertools.groupby(
+                    zip(configs, built),
+                    key=lambda cb: (cb[0]["objective_kind"], cb[0]["alpha"])):
+                for points in zip(*(ps for _, ps in column)):
+                    answers = [solve(p).items for p in points]
+                    bound += sum(1 for _ in itertools.groupby(answers))
+                    bound += sum(not settled(p, items)
+                                 for p, items in zip(points, answers))
+            assert len(solved) <= bound < per_point
         elif exposure == "log_discount" and kind == "raif":
             # the exposure DP's columns (alpha > 0) solve every point
             dp = [key for _, key in solved if key[2] > 0]
@@ -590,32 +611,52 @@ class TestColumnWalk:
                      toy_categories, base_cfg("raif"), small_grid())
 
 
-class TestWalk:
-    """``tuner._walk`` over one column of tokens."""
+class TestScan:
+    """``tuner._scan`` along one column: the points it solves, and the
+    points it only asks to certify an answer solved earlier."""
 
     @staticmethod
-    def walk(tokens):
-        asked = []
+    def scan(answers, uncertified=()):
+        """Point i solves to ``answers[i]`` and certifies those items alone,
+        unless it is ``uncertified``: (items, solved, certified points)."""
+        solved, certified = [], []
 
-        def token_at(i):
-            asked.append(i)
-            return tokens[i], f"items{i}" if tokens[i] is None else tokens[i]
+        def solve_at(i):
+            solved.append(i)
+            return answers[i]
 
-        return tuner._walk(len(tokens), token_at), sorted(asked)
+        def token(i, items):
+            certified.append(i)
+            return (items if i not in uncertified and items == answers[i]
+                    else None)
 
-    def test_equal_ends_fill_the_column(self):
-        assert self.walk(["a"] * 5) == (["a"] * 5, [0, 4])
+        items = tuner._scan(len(answers), lambda i: i, solve_at, token)
+        return items, solved, certified
 
-    def test_an_end_without_a_token_stands_alone(self):
-        items, asked = self.walk([None, "a", "a", "a", None])
-        assert items == ["items0", "a", "a", "a", "items4"]
-        assert asked == [0, 1, 3, 4]
+    def test_one_answer_fills_the_column(self):
+        assert self.scan(["a"] * 5) == (["a"] * 5, [0], [0, 4])
 
-    def test_different_ends_split_at_the_middle(self):
-        items, asked = self.walk(["a", "a", "a", "b", "b", "b", "b"])
-        assert items == ["a", "a", "a", "b", "b", "b", "b"]
-        assert asked == [0, 1, 2, 3, 6]
+    def test_an_uncertified_point_stands_alone(self):
+        answers = ["x", "a", "a", "a", "y"]
+        items, solved, certified = self.scan(answers, uncertified={0, 4})
+        assert items == answers
+        assert solved == [0, 1, 4]
+        # the last point certifies nothing: bisection finds points 2 and 3
+        assert certified == [0, 1, 4, 2, 3, 4]
+
+    def test_two_runs(self):
+        answers = ["a"] * 3 + ["b"] * 4
+        items, solved, certified = self.scan(answers)
+        assert items == answers
+        assert solved == [0, 3]
+        assert certified == [0, 6, 3, 1, 2, 3, 6]
+
+    def test_a_middle_point_certifies_but_not_the_end(self):
+        items, solved, certified = self.scan(["a"] * 5, uncertified={4})
+        assert items == ["a"] * 5
+        assert solved == [0, 4]
+        assert certified == [0, 4, 2, 3, 4]
 
     def test_one_point(self):
-        assert self.walk([None]) == (["items0"], [0])
-
+        assert self.scan(["a"]) == (["a"], [0], [0])
+        assert self.scan(["a"], uncertified={0}) == (["a"], [0], [0])
