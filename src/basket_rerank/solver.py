@@ -24,9 +24,11 @@ without ``_walk_ties``: the walk is 1.26-1.35x slower there.
 Every path rejects a pool with fewer candidates than slots
 (``_checked_pools``). Two helpers serve the tuner's grids: ``narrowed``
 drops the candidates that the closed form chooses under none of a set of
-additive weightings, and ``settled`` certifies an additive answer at a
-repeat weight: an answer solved and settled at one weight, and settled at
-another, is ``solve``'s answer at every weight between.
+additive weightings, and ``settled`` certifies an answer at an additive
+problem, deciding on the answer's ``frontier``: an answer of one of a
+user's problems is ``solve``'s answer at each other problem of the user,
+with the same slot split, where it settles; and one settled at two repeat
+weights is the answer at every weight between.
 
 One tie rule holds on every path: a selection wins when its
 objective is higher by more than ``_TIE_TOL``; otherwise the
@@ -42,6 +44,7 @@ import operator
 import time
 import warnings
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import SolverError, UsageError
 from .objective import RerankProblem, check_slots, indexed_objective_value
@@ -505,68 +508,171 @@ def _margin(problems: list[RerankProblem], points: list[RerankProblem]
             / min(p.rel_scale for p in points))
 
 
-def settled(problem: RerankProblem, items: list[str] | tuple[str, ...]
-            ) -> bool:
-    """Is ``items`` certified at ``problem`` along the repeat weight?
+class Frontier(NamedTuple):
+    """The candidates that decide ``settled`` for one answer, at every
+    weighting of one user's candidates and slot split, each as its block
+    (repeat flag, relevance, fairness coefficient).
 
-    Theorem. Let ``items`` be ``solve(p)``, with ``settled(p, items)``. Let
-    q differ from p only in ``signed_lambda`` (as two points of one column
-    of a tuner grid do), with ``settled(q, items)``. Then ``solve`` gives
-    ``items`` at every weight from p to q, q included: q needs no solve.
+    In each class of equal repeat flag and fairness coefficient, adjusted
+    values fall with relevance, so its chosen and its unchosen candidates
+    meet the threshold tests in a run each. Four members settle those runs:
+    the last chosen one, the last chosen one of another relevance, the
+    first unchosen one, and the first unchosen one of another relevance.
+    """
 
-    Only additive problems settle. An additive one settles when every
-    chosen candidate's adjusted value exceeds every unchosen one's by more
-    than ``_TIE_TOL`` plus a rounding room, except for pairs within one
-    block: candidates with equal repeat flag, relevance and fairness
-    coefficient, whose adjusted values are bit-equal at every weight. The
-    room, 2^-44 of a bound on an adjusted value's terms plus 1 (as in
-    ``_margin``), covers the few roundings of each adjusted value.
+    pools: tuple[tuple[list[tuple], int], ...]  # (members, chosen first)
+    chosen: tuple[int, int] | None  # per pool; None: not distinct candidates
+    rel: float                      # the user's max |relevance|
+    coef: float                     # the user's max |fairness coefficient|
+
+
+def frontier(problem: RerankProblem, items: list[str] | tuple[str, ...]
+             ) -> Frontier:
+    """``items``' frontier on ``problem``'s candidates: each pool's members,
+    the chosen ones first, and the count of chosen candidates per pool
+    (None when an item is not a candidate, is listed twice, or is a
+    candidate of both pools)."""
+    inside = set(items)
+    # per class, the relevance of: the last chosen member, the last chosen
+    # one of another relevance, the first unchosen one, and the first
+    # unchosen one of another relevance
+    last: dict[tuple, float] = {}
+    other: dict[tuple, float] = {}
+    first: dict[tuple, float] = {}
+    first_other: dict[tuple, float] = {}
+    taken = []
+    counts = [0, 0]  # chosen explore and repeat candidates
+    for x, r, cls in zip(problem.items, problem.relevance,
+                         zip(problem.is_repeat, problem.fairness_coef)):
+        if x in inside:
+            taken.append(x)
+            counts[cls[0]] += 1
+            prev = last.get(cls, r)
+            if prev != r:
+                other[cls] = prev
+            last[cls] = r
+        elif cls not in first:
+            first[cls] = r
+        elif cls not in first_other and r != first[cls]:
+            first_other[cls] = r
+    combined = problem.kind == "combined"
+    members: tuple[list[tuple], list[tuple]] = ([], [])
+    chosen_first = [0, 0]
+    for side, ends in enumerate(((last, other), (first, first_other))):
+        for end in ends:
+            for (rep, coef), r in end.items():
+                pool = combined and not rep
+                members[pool].append((rep, r, coef))
+                chosen_first[pool] += not side
+    chosen = None
+    if len(set(taken)) == len(taken) == len(items):
+        chosen = (counts[1], counts[0]) if combined else (len(taken), 0)
+    rel = problem.relevance  # in descending order
+    return Frontier(tuple(zip(members, chosen_first)), chosen,
+                    max(abs(rel[0]), abs(rel[-1])),
+                    max(map(abs, problem.fairness_coef)))
+
+
+def settled(problem: RerankProblem, items: tuple[str, ...],
+            fronts: dict[tuple[str, ...], Frontier] | None = None) -> bool:
+    """Is ``items`` certified at ``problem``?
+
+    ``fronts``, when given, maps answers to their frontiers on ``problem``'s
+    candidates and slot split: an answer's frontier is read there, or built
+    and stored. Without it the frontier is built for this call.
+
+    Only additive problems settle. An additive one settles when ``items``
+    fills each pool's slots exactly and, in each pool, every chosen
+    candidate's adjusted value exceeds every unchosen one's by more than
+    ``_TIE_TOL`` plus a rounding room, except for pairs within one block:
+    candidates with equal repeat flag, relevance and fairness coefficient,
+    whose adjusted values are bit-equal at every weighting. The room, 2^-44
+    of a bound on an adjusted value's terms plus 1 (as in ``_margin``),
+    covers the few roundings of each adjusted value. Pools are cut apart,
+    so no pair spans two.
+
+    Theorem 1 (an answer carries). Let p and q be two additive problems
+    with the same candidates and slot split, and ``items`` be ``solve(p)``.
+    If ``settled(q, items)``, then ``solve(q)`` is ``items``.
+
+    Proof. Take a pool at q. Its chosen candidates outside its mixed block
+    (the block with chosen and unchosen members, if any) lie more than
+    ``_TIE_TOL`` above the block and above every unchosen candidate, and
+    its unchosen ones outside the block more than ``_TIE_TOL`` below the
+    block, in the closed form's own comparisons: the room absorbs their
+    rounding. The closed form then forces those chosen candidates and
+    leaves one tie group of a fixed count: the block when there is one,
+    else the chosen candidates nearest the cut, all taken. Each group is
+    taken whole or shares one relevance, so ``_fill_ties``'s fast path
+    takes each block's first members in candidate order, as many as
+    ``items`` holds. An exact answer holds those too: block members are
+    bit-equal and share one relevance, so a swap for an earlier member
+    keeps the objective and gives a smaller position-ordered id sequence.
+    So the tie rule fixes which members of a mixed block ``items`` holds,
+    and the certificate fixes the rest; p's weights never enter. The
+    certificate alone does not say which members: a basket with a block's
+    last members settles too, so ``items`` must be an answer somewhere.
+
+    Theorem 2 (one solved end). Let ``items`` be ``solve(p)``, with
+    ``settled(p, items)``. Let q differ from p only in ``signed_lambda``
+    (as two points of one column of a tuner grid do), with
+    ``settled(q, items)``. Then ``solve`` gives ``items`` at every weight
+    from p to q.
 
     Proof. A gap between two candidates of different repeat flags is affine
     in the weight; between equal flags it does not change. So a pair
-    outside the block that clears ``_TIE_TOL`` plus the room at p and at q
+    outside a block that clears ``_TIE_TOL`` plus the room at p and at q
     clears ``_TIE_TOL`` at every weight between, rounding included. A block
     with chosen and unchosen members holds a pair with no gap, so p and q
-    share that one mixed block, or neither has one. (Two mixed blocks
-    cannot both clear: each would need its chosen members above the
-    other's unchosen ones by more than the tolerance.) At every weight from
-    p to q, then, in each pool the chosen candidates outside the block lie
-    more than ``_TIE_TOL`` above the block and the unchosen ones more than
-    ``_TIE_TOL`` below it. The closed form forces the same candidates and
-    leaves one tie group: the block when it has unchosen members, else the
-    chosen candidates nearest the cut, all taken. The block shares one
-    relevance, so ``_fill_ties``'s fast path takes its first members, as
-    many as ``items`` holds. Those are the members ``items`` holds, because
-    ``items`` is the answer at p. The certificate alone does not say which
-    members: a basket with the block's last members settles too. So one
-    end must be solved.
+    share each pool's one mixed block, or neither has one. (Two mixed
+    blocks in one pool cannot both clear: each would need its chosen
+    members above the other's unchosen ones by more than the tolerance.)
+    At every weight r between, then, each pair outside a pool's mixed
+    block clears ``_TIE_TOL`` in the closed form's comparisons, which is
+    all that Theorem 1's proof uses of the certificate: ``solve(r)`` is
+    ``items``.
 
-    The exceptions are all in one block exactly when the chosen
+    The exceptions of a pool are all in one block exactly when the chosen
     candidates within the threshold (``_TIE_TOL`` plus the room) of the
     best unchosen one and the unchosen ones within it of the worst chosen
     one share one block: every pair within the threshold is among them, and
-    each of them is in such a pair.
+    each of them is in such a pair. In a class of equal repeat flag and
+    coefficient, adjusted values fall with relevance, so the chosen within
+    the threshold are the class's last chosen ones, and they span two
+    blocks exactly when the last chosen one of another relevance is among
+    them; likewise for the unchosen. So ``frontier``'s members decide as
+    every candidate would, at every weighting, and it keeps the user's max
+    |relevance| and |coefficient|, so the room is the same too.
     """
     if problem.epsilon_eff or _position_dependent(problem):
         return False
-    if len(items) == problem.n_candidates:
-        return True
-    adj = _adjusted_values(problem)
-    inside = list(map(set(items).__contains__, problem.items))
-    rel, rep, coef = problem.relevance, problem.is_repeat, problem.fairness_coef
-    # candidates are in relevance-desc order
-    bound = (problem.rel_scale * max(abs(rel[0]), abs(rel[-1]))
-             + abs(problem.signed_lambda) / problem.k
-             + problem.alpha_eff * max(map(abs, coef)))
+    front = fronts.get(items) if fronts is not None else None
+    if front is None:
+        front = frontier(problem, items)
+        if fronts is not None:
+            fronts[items] = front
+    if front.chosen != (problem.repeat_slots, problem.explore_slots):
+        return False
+    rel_scale, alpha = problem.rel_scale, problem.alpha_eff
+    repeat_term = problem.signed_lambda / problem.k
+    bound = (rel_scale * front.rel + abs(problem.signed_lambda) / problem.k
+             + alpha * front.coef)
     threshold = _TIE_TOL + 2.0 ** -44 * (bound + 1)
-    low = min(itertools.compress(adj, inside))
-    high = max(itertools.compress(adj, map(operator.not_, inside)))
-    if low > high + threshold:
-        return True
-    top, bottom = high + threshold, low - threshold
-    edge = {(r, x, c) for a, i, r, x, c in zip(adj, inside, rep, rel, coef)
-            if (a <= top if i else a >= bottom)}
-    return len(edge) == 1
+    for members, n in front.pools:
+        if not n or n == len(members):
+            continue  # no chosen or no unchosen candidate
+        # ``_adjusted_values``' expression, so the values are bit-equal
+        adj = [(rel_scale * r + repeat_term if rep else rel_scale * r)
+               - alpha * coef for rep, r, coef in members]
+        low, high = min(adj[:n]), max(adj[n:])
+        if low > high + threshold:
+            continue
+        top, bottom = high + threshold, low - threshold
+        edge = {m for m, a in zip(members[:n], adj) if a <= top}
+        edge.update(m for m, a in zip(members[n:], adj[n:]) if a >= bottom)
+        if len(edge) != 1:
+            return False
+    return True
 
 
 def solve_exposure_dp(problem: RerankProblem) -> Selection:

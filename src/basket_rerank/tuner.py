@@ -9,20 +9,29 @@ building them again.
 
 Points run weight-major, so each weight's points form a column: lambda
 ascending on unified candidates, theta ascending on combined ones. Each
-user scans each column (``_scan``): the first point not yet filled is
-solved, and its answer gives a token. The answer fills every point up to
-the last one that gives the same token for it, found at the column's end
-or by bisection; an answer without a token fills its own point alone.
+user scans each column (``_scan``). At the first point not yet filled it
+takes the previous column's answer at the same index (same lambda, or
+same theta and so the same split) when ``solver.settled`` certifies it
+there, else it solves. The answer gives a token, and fills every point up
+to the last one that gives the same token for it, found at the column's
+end or by bisection; an answer without a token fills its own point alone.
 
-* Along lambda, the token is the items when ``solver.settled`` certifies
-  them: each chosen candidate beats each unchosen one by more than the tie
-  tolerance plus a rounding room, but within one block of equal repeat
-  flag, relevance and fairness coefficient. An answer solved and settled at
-  one point, and settled at a later one, is the answer at every lambda
-  between (the theorem in ``settled``'s docstring). Only additive problems
-  are certified, so coverage columns (radiv, epsilon > 0) and exposure DP
-  columns (log-discount raif, alpha > 0) solve every point; their
-  epsilon = 0 and alpha = 0 columns are additive.
+``settled`` certifies an answer at an additive problem: in each pool, each
+chosen candidate beats each unchosen one by more than the tie tolerance
+plus a rounding room, but within one block of equal repeat flag, relevance
+and fairness coefficient, and the answer fills each pool's slots. An
+answer found at one problem of a user is the answer at every other problem
+of the user with the same split where it settles (Theorem 1 in
+``settled``'s docstring). The certificate reads only the answer's frontier,
+a few candidates per class of equal flag and coefficient, which ``run_grid``
+keeps per user and answer for the length of the call. Only additive
+problems are certified, so coverage columns (radiv, epsilon > 0) and
+exposure DP columns (log-discount raif, alpha > 0) take no hint and solve
+every point; their epsilon = 0 and alpha = 0 columns are additive.
+
+* Along lambda, the token is the items when ``settled`` certifies them. An
+  answer solved or certified at one point, and settled at a later one, is
+  the answer at every lambda between (Theorem 2).
 * Along theta, the token is the slot split (repeat, explore). Every other
   field of a problem is fixed along a column, and H(theta) is monotone in
   theta, so two points with one split have that problem at every theta
@@ -33,8 +42,9 @@ basket set, the metrics report. A point whose baskets equal an earlier
 point's reuses that report with its own config.
 
 A point keeps only each user's items, all that ``evaluate`` reads, so no
-filled point carries a stale objective. The scan holds one column at a
-time: users x column length items.
+filled point carries a stale objective. The scan holds two columns at a
+time, the one it fills and the one before: users x column length items,
+twice.
 
 Once per call, when every grid point's problem is additive (no diversity
 weight, and a fairness term only with uniform exposure), each built problem
@@ -51,7 +61,8 @@ Besides its solves, a point makes one ``RerankProblem`` per user that
 shares the built candidate lists, finds H(theta) by bisection on the ranked
 repeat list, and copies a reused report's config shallowly
 (``RerankConfig.snapshot``). A lambda column whose answer never changes
-costs a user one solve and two certificates.
+costs a user two certificates and no solve when the previous column's
+answer is still the answer, else one solve and two or three certificates.
 """
 from __future__ import annotations
 
@@ -71,7 +82,7 @@ from .metrics import MetricsReport, evaluate
 from .objective import (RerankConfig, RerankProblem, build_problems,
                         choose_sign_mode, original_topk, reweighted)
 from .scorer import CandidateSet
-from .solver import narrowed, rerank_all, settled, solve
+from .solver import Frontier, narrowed, rerank_all, settled, solve
 
 P = TypeVar("P")
 
@@ -161,30 +172,47 @@ def grid_points(kind: str, cands_kind: str, grid: GridSpec,
 
 def _scan(size: int, at: Callable[[int], P],
           solved: Callable[[P], tuple[str, ...]],
-          token: Callable[[P, tuple[str, ...]], object]
+          settles: Callable[[P, tuple[str, ...]], bool],
+          split: Callable[[P], object] | None = None,
+          hints: list[tuple[str, ...]] | None = None
           ) -> list[tuple[str, ...]]:
     """Each point's items along one column of ``size`` points: ``at(i)`` is
-    point i's problem, ``solved`` gives a problem's answer, and ``token``
-    what a problem gives for some items, None for nothing. An answer solved
-    at one point, with a token, holds at every point up to a later one that
-    gives the same token for it.
+    point i's problem, ``solved`` gives a problem's answer, and ``settles``
+    whether some items, an answer at some point, are certified at a
+    problem. ``hints[i]``, if given, is an answer to try at point i.
 
-    The scan solves the first point not yet filled. An answer without a
-    token fills that point alone. Otherwise the answer fills the column up
-    to its last point when that point gives the same token, else up to a
-    later point that does, found by bisection. Which point the bisection
-    finds changes only the number of solves.
+    A point gives some items a token: ``split`` of its problem, when given,
+    else the items themselves when ``settles`` certifies them there, else
+    None. An answer found at one point, with a token, holds at every point
+    up to a later one that gives it the same token.
+
+    The scan finds the answer at the first point not yet filled: the
+    hint there when ``settles`` certifies it, else a solve. An answer
+    without a token fills that point alone. Otherwise the answer fills the
+    column up to its last point when that point gives the same token, else
+    up to a later point that does, found by bisection. Which point the
+    bisection finds changes only the number of solves.
     """
+    def token(i: int, items: tuple[str, ...]) -> object:
+        if split is not None:
+            return split(at(i))
+        return items if settles(at(i), items) else None
+
     got: list[tuple[str, ...]] = []
     while len(got) < size:
         lo = len(got)
-        items = solved(at(lo))
-        mark = token(at(lo), items)
+        items = hints[lo] if hints else None
+        if items is None or not settles(at(lo), items):
+            items = solved(at(lo))
+            mark = token(lo, items)
+        else:
+            # a hint certified at lo is its own token along lambda
+            mark = items if split is None else split(at(lo))
         # the answer holds at lo; hi is a point known not to match, or size
         hi = size if mark is not None else lo + 1
         while hi - lo > 1:
             mid = size - 1 if hi == size else (lo + hi) // 2
-            if token(at(mid), items) == mark:
+            if token(mid, items) == mark:
                 lo = mid
             else:
                 hi = mid
@@ -204,10 +232,11 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
     Before the first point, the problems drop each candidate that no point
     can choose (``solver.narrowed``, additive grids only). Then each user
     scans each weight's column of points (``_scan``): a user is solved only
-    at the first point of each stretch that one answer fills. Equal basket
-    sets share one report. The sweep and the chosen config are those of a
-    solve at every point. A solve that fails raises SolverError naming the
-    user."""
+    at the first point of each stretch that one answer fills, unless the
+    previous column's answer there settles (``solver.settled``). Equal
+    basket sets share one report. The sweep and the chosen config are those
+    of a solve at every point. A solve that fails raises SolverError naming
+    the user."""
     if cfg.objective_kind not in ("radiv", "raif"):
         raise UsageError("run_grid tunes radiv or raif objectives only")
     if split.split_label != "validation":
@@ -252,14 +281,12 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
         except Exception as exc:  # noqa: BLE001 - reported per user
             raise SolverError(f"user {problem.user_id!r}: {exc}") from exc
 
-    if cands.kind == "unified":
-        def token(problem: RerankProblem, items: tuple[str, ...]) -> object:
-            # along lambda: the items, when ``settled`` certifies them
-            return items if settled(problem, items) else None
-    else:
-        def token(problem: RerankProblem, items: tuple[str, ...]) -> object:
-            # along theta only the slot split changes, monotonely in theta
-            return problem.repeat_slots, problem.explore_slots
+    # per user: each answer's frontier, which ``settled`` reads and fills
+    fronts: list[dict[tuple[str, ...], Frontier]] = [{} for _ in problems]
+
+    def slot_split(problem: RerankProblem) -> tuple[int, int]:
+        # along theta only the slot split changes, monotonely in theta
+        return problem.repeat_slots, problem.explore_slots
 
     def report_at(pcfg: RerankConfig, baskets: dict[str, tuple[str, ...]]
                   ) -> MetricsReport:
@@ -282,6 +309,7 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
     best_cfg: RerankConfig | None = None
     best_score: float | None = None
     feasible = 0
+    scans: list[list[tuple[str, ...]] | None] = [None] * len(problems)
     # points run weight-major: one column per weight
     for _, column in itertools.groupby(configs,
                                        key=lambda c: (c.epsilon, c.alpha)):
@@ -294,9 +322,12 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
                 at[i] = reweighted(problems, cands, column[i])
             return at[i][u]
 
+        # each user's answers along the column before hint at this one's
         scans = [_scan(len(column), functools.partial(problem_at, u), solved,
-                       token)
-                 for u in range(len(problems))]
+                       functools.partial(settled, fronts=fronts[u]),
+                       slot_split if cands.kind == "combined" else None,
+                       hints)
+                 for u, hints in enumerate(scans)]
         for i, pcfg in enumerate(column):
             report = report_at(pcfg, {p.user_id: scan[i]
                                       for p, scan in zip(problems, scans)})

@@ -1,6 +1,7 @@
 import os
 
 import pytest
+from hypothesis import settings
 
 from basket_rerank.dataset import (build_item_groups, build_repeat_sets,
                                    load_baskets, load_categories,
@@ -9,9 +10,20 @@ from basket_rerank.scorer import import_scores
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures", "toy")
 
+# ``pytest --hypothesis-profile deep``: the certificate properties run
+# thousands of examples, the same ones on every run
+settings.register_profile("deep", max_examples=4000, derandomize=True,
+                          database=None, deadline=None)
+
 TOY_SEED = 7
 TOY_N = 15
 TOY_K = 5
+
+
+def examples(n: int) -> int:
+    """A property's example count: n, or the loaded profile's when it asks
+    for more."""
+    return max(n, settings.default.max_examples)
 
 
 def toy_path(name: str) -> str:

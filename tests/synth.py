@@ -6,8 +6,9 @@ import math
 import random
 
 from basket_rerank.dataset import (BasketDataset, ItemGroups, RepeatSets,
-                                   UserHistory, build_item_groups,
-                                   build_repeat_sets, split_leave_last)
+                                   SplitDataset, UserHistory,
+                                   build_item_groups, build_repeat_sets,
+                                   split_leave_last)
 from basket_rerank.objective import (ExposureModel, RerankConfig,
                                      build_combined_problem,
                                      build_unified_problem, OBJECTIVE_KINDS,
@@ -16,6 +17,7 @@ from basket_rerank.objective import (ExposureModel, RerankConfig,
 from basket_rerank.scorer import (CandidateSet, make_unified, rank_pairs,
                                   score_explore_popularity,
                                   score_repeat_topfreq)
+from basket_rerank.solver import _TIE_TOL
 
 
 def make_synthetic_dataset(n_users: int = 12, n_items: int = 30,
@@ -130,3 +132,48 @@ def pipeline_from_dataset(ds: BasketDataset, seed: int = 0, n: int = 100,
                          score_explore_popularity(train, reps, n),
                          mix=mix, n=n)
     return train, validation, test, reps, groups, cands
+
+
+# multiples of the tie tolerance by which scores sit below a level, and
+# by which grid weights sit off a crossing
+TIE_OFFSETS = [0.0, 0.5, 1 - 2 ** -20, 1.0, 1 + 2 ** -20, 2.0]
+
+
+def tie_chain_inputs(seed: int, n_users: int = 12, n: int = 12
+                     ) -> tuple[SplitDataset, dict[str, CandidateSet],
+                                RepeatSets, ItemGroups, dict[str, str]]:
+    """Tuning inputs whose candidates tie, or miss a tie by a rounding, at
+    the solver's tie tolerance: every score is one of three levels, lowered
+    by the tolerance times ``TIE_OFFSETS``. Half of each user's candidates
+    are repeat items (combined candidates split by them) and half are its
+    validation target, so a changed basket shows in the metrics. (validation
+    split, unified and combined candidates, repeat sets, groups,
+    categories)."""
+    rng = random.Random(seed)
+    items = [f"i{j:02d}" for j in range(3 * n)]
+    popular = set(rng.sample(items, len(items) // 4))
+    groups = ItemGroups(popular, set(items) - popular)
+    categories = {item: f"c{j % 5}" for j, item in enumerate(items)}
+    unified, repeat_list, explore_list = {}, {}, {}
+    reps: RepeatSets = {}
+    targets = {}
+    for u in range(n_users):
+        user = f"u{u:02d}"
+        cands = rng.sample(items, n)
+        scores = {i: rng.choice([1.0, 0.6, 0.3])
+                  - rng.choice(TIE_OFFSETS) * _TIE_TOL for i in cands}
+        reps[user] = frozenset(rng.sample(cands, n // 2))
+        unified[user] = rank_pairs(list(scores.items()))
+        repeat_list[user] = rank_pairs([(i, s) for i, s in scores.items()
+                                        if i in reps[user]])
+        explore_list[user] = rank_pairs([(i, s) for i, s in scores.items()
+                                         if i not in reps[user]])
+        targets[user] = frozenset(rng.sample(cands, n // 2))
+    validation = SplitDataset(BasketDataset([], categories), targets,
+                              "validation")
+    return (validation,
+            {"unified": CandidateSet(kind="unified", unified=unified),
+             "combined": CandidateSet(kind="combined",
+                                      repeat_list=repeat_list,
+                                      explore_list=explore_list)},
+            reps, groups, categories)

@@ -19,7 +19,7 @@ from basket_rerank import solver as solver_module
 from basket_rerank.scorer import CandidateSet
 from basket_rerank.solver import (narrowed, rerank_all, settled, solve,
                                   solve_exposure_dp, solve_topk_linear)
-from tests.conftest import toy_path
+from tests.conftest import examples, toy_path
 from tests.oracle import solve_bruteforce
 from tests.synth import random_combined_instance, random_unified_instance
 from tests.test_objective import combined_cands, groups_for, unified_cands
@@ -1005,7 +1005,7 @@ class TestSettled:
     @example(random.Random(100))
     @example(random.Random(109))
     @example(random.Random(228))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(st.randoms(use_true_random=False))
     def test_settled_ends_hold_between(self, rng):
         # the lower end is solved, and its answer certified at both ends:
@@ -1046,6 +1046,160 @@ class TestSettled:
         assert not settled(problem, ["b"])
         wide = dataclasses.replace(problem, relevance=[0.5 + 2 * tol, 0.5])
         assert settled(wide, ["b"])
+
+
+def answer_pair(rng):
+    """Two additive problems of one user, p and q, with the same candidates
+    and, unless (one combined pair in three) q has another, the same slot
+    split, and repeat weights around a crossing (``CROSSING_OFFSETS``).
+
+    Unified or combined candidates come from three relevance levels, some
+    lowered by the tie tolerance (over the relevance scale) times a half,
+    just under or over one, or two, so equal-relevance blocks and chains of
+    near ties are common. Rarely an id is a candidate of both pools. Each
+    weight sits where two candidates' adjusted values cross, or some
+    multiple of the tolerance off it: two of different repeat flags along
+    the repeat weight, or two of one flag and different coefficients along
+    the fairness weight (raif). p keeps each of q's weights, takes another
+    offset from the crossing, or another weight, of either sign."""
+    tol = solver_module._TIE_TOL
+    k = rng.randint(1, 4)
+    kind = rng.choice(["raif", "radiv"])
+    rel_scale = 1.0 if kind == "raif" else 1.0 / k
+    combined = rng.random() < 0.5
+    if combined:
+        n_rep, n_exp = rng.randint(0, 7), rng.randint(0, 7)
+        while n_rep + n_exp <= k:
+            n_rep += 1
+            n_exp += 1
+        flags = [True] * n_rep + [False] * n_exp
+    else:
+        flags = [rng.random() < 0.5 for _ in range(rng.randint(k + 1, 12))]
+    n = len(flags)
+    ids = [f"i{j:02d}" for j in range(n)]
+    if combined and n_rep and n_exp and rng.random() < 0.05:
+        ids[n_rep] = ids[0]  # one id in both pools
+    # candidate order: relevance descending, then id, then repeat first
+    rows = sorted((-(rng.choice([1.0, 0.6, 0.3])
+                     - rng.choice([0.0, 0.5, 1 - 2 ** -20, 1 + 2 ** -20, 2.0])
+                     * tol / rel_scale), x, not rep, rng.random() < 0.5)
+                  for x, rep in zip(ids, flags))
+    rel = [-r for r, _, _, _ in rows]
+    rep = [not e for _, _, e, _ in rows]
+    popular = sum(p for *_, p in rows)
+    coef = [1 / popular if p else -1 / (n - popular) for *_, p in rows]
+    n_rep = sum(rep)
+    h = max(min(n_rep, rng.randint(0, k)), k - (n - n_rep))
+    base = RerankProblem(
+        user_id="u", items=[x for _, x, _, _ in rows], relevance=rel,
+        is_repeat=rep, category=["c"] * n, fairness_coef=coef,
+        kind="combined" if combined else "unified",
+        repeat_slots=h if combined else k,
+        explore_slots=k - h if combined else 0, rel_scale=rel_scale,
+        epsilon_eff=0.0, alpha_eff=0.0, signed_lambda=0.0, k=k,
+        exposure=ExposureModel("uniform"), objective_kind=kind)
+    choices = [0.0, 1e-3, 50.0, 1e6] if kind == "raif" else [0.0]
+    # q's weights, then p's
+    alphas = [rng.choice(choices), rng.choice(choices)]
+    lams = [rng.choice([-1.0, 1.0]) * rng.random() for _ in range(2)]
+    around = []
+    pairs = [(a, b) for a, b in itertools.combinations(range(n), 2)
+             if rep[a] != rep[b] or (kind == "raif" and coef[a] != coef[b])]
+    if pairs:
+        a, b = rng.choice(pairs)
+        gap = rel_scale * (rel[a] - rel[b])
+        offsets = [rng.choice(CROSSING_OFFSETS) for _ in range(2)]
+        if rep[a] != rep[b]:
+            # the repeat weights, of one sign, at which a and b cross at
+            # q's alpha, and around it
+            sign = 1.0 if rep[a] else -1.0
+            cross = -sign * k * (gap - alphas[0] * (coef[a] - coef[b]))
+            if cross < 0:
+                cross, sign = -cross, -sign
+            at = [sign * max(0.0, cross + o * k * tol)
+                  for o in [*offsets, *CROSSING_OFFSETS]]
+            lams = [at[0], at[1] if rng.random() < 3 / 4 else lams[1]]
+            around = [0.0, sign * (cross + 0.3), *at[2:]]
+        else:
+            # the fairness weights at which they cross, and around it
+            diff = coef[a] - coef[b]
+            alphas = [max(0.0, gap / diff + o * tol / abs(diff))
+                      for o in offsets]
+    q = dataclasses.replace(base, alpha_eff=alphas[0], signed_lambda=lams[0])
+    p = dataclasses.replace(
+        base, alpha_eff=alphas[rng.random() < 1 / 3],
+        signed_lambda=lams[rng.random() < 3 / 4])
+    if combined and rng.random() < 1 / 3:
+        h = rng.randint(max(0, k - (n - n_rep)), min(n_rep, k))
+        q = dataclasses.replace(q, repeat_slots=h, explore_slots=k - h)
+    return p, q, around
+
+
+def full_frontier(problem, items):
+    """``frontier(problem, items)`` with every candidate a member."""
+    front = solver_module.frontier(problem, items)
+    inside = set(items)
+    pools = ([], []), ([], [])
+    for x, r, rep, coef in zip(problem.items, problem.relevance,
+                               problem.is_repeat, problem.fairness_coef):
+        pool = problem.kind == "combined" and not rep
+        pools[pool][x not in inside].append((rep, r, coef))
+    return front._replace(pools=tuple((chosen + unchosen, len(chosen))
+                                      for chosen, unchosen in pools))
+
+
+class TestFrontier:
+    """An answer carries to any additive problem of the user where it
+    settles, and along the repeat weight between two where it settles
+    (Theorems 1 and 2 of ``settled``), decided on the answer's frontier."""
+
+    # seeds on which a frontier without its members of another relevance
+    # (0, 73), a certificate without the slot count (7, 16) and one without
+    # the rounding room (178, 1065, 2856) accept a basket that is not the
+    # answer
+    @example(random.Random(0))
+    @example(random.Random(73))
+    @example(random.Random(7))
+    @example(random.Random(16))
+    @example(random.Random(178))
+    @example(random.Random(1065))
+    @example(random.Random(2856))
+    @settings(max_examples=examples(300), deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_an_answer_carries(self, rng):
+        p, q, around = answer_pair(rng)
+
+        def answer(problem):
+            try:
+                return tuple(solve(problem).items)
+            except UsageError:  # both entries of an id in both pools
+                assert len(set(problem.items)) < problem.n_candidates
+                return None
+
+        items, at_q = answer(p), answer(q)
+        for problem, basket in ((q, items), (p, items), (q, at_q)):
+            if basket is not None:
+                full = {basket: full_frontier(problem, basket)}
+                assert (settled(problem, basket)
+                        == settled(problem, basket, full))
+        if items is None:
+            return
+        if settled(q, items):
+            assert at_q == items
+        if (dataclasses.replace(p, signed_lambda=0.0)
+                == dataclasses.replace(q, signed_lambda=0.0)):
+            # along the column of repeat weights through p, q and the
+            # crossing, an answer settled where it is solved and at another
+            # point is the answer at every point between
+            column = [dataclasses.replace(p, signed_lambda=lam) for lam in
+                      sorted({*around, p.signed_lambda, q.signed_lambda})]
+            answers = [answer(r) for r in column]
+            for lo, hi in itertools.combinations(range(len(column)), 2):
+                for solved, other in ((lo, hi), (hi, lo)):
+                    basket = answers[solved]
+                    if (basket is not None and settled(column[solved], basket)
+                            and settled(column[other], basket)):
+                        assert answers[lo:hi + 1] == [basket] * (hi + 1 - lo)
 
 
 def test_solves_leave_no_cyclic_garbage(monkeypatch):

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from basket_rerank import tuner
-from basket_rerank.dataset import (build_item_groups, build_repeat_sets,
+from basket_rerank.dataset import (BasketDataset, ItemGroups, SplitDataset,
+                                   build_item_groups, build_repeat_sets,
                                    ground_truth_repeat_ratio,
                                    split_leave_last)
 from basket_rerank.errors import SolverError, UsageError
@@ -17,13 +18,13 @@ from basket_rerank.objective import (ExposureModel, RerankConfig,
 from basket_rerank.scorer import (CandidateSet, make_unified, rank_pairs,
                                   score_explore_popularity,
                                   score_repeat_topfreq)
-from basket_rerank.solver import settled
+from basket_rerank.solver import _TIE_TOL, settled
 from basket_rerank.tuner import (GridSpec, TuneResult, final_evaluate,
                                  rerank_and_evaluate, run_grid, theta_deciles,
                                  write_chosen_config, write_sweep_csv)
 from tests.conftest import TOY_K, TOY_N
 from tests.oracle import compute_h_theta
-from tests.synth import make_synthetic_dataset
+from tests.synth import TIE_OFFSETS, make_synthetic_dataset, tie_chain_inputs
 
 
 def small_grid(**kwargs):
@@ -498,8 +499,33 @@ def synth_inputs():
 WALK_GRID = GridSpec(epsilon_grid=[0.0, 0.01, 0.1], alpha_grid=[0.0, 0.01, 1, 50])
 
 
+@pytest.fixture(scope="module")
+def tie_inputs():
+    """Inputs whose scores tie, or miss a tie by a rounding, at the tie
+    tolerance (``tie_chain_inputs``)."""
+    return tie_chain_inputs(3)
+
+
+# K = 3; lambda at 0 and at multiples of the tolerance off the weights
+# where a repeat and an explore candidate whose levels are 0.3 or 0.4 apart
+# cross; alpha = 50 makes rounding errors near the tolerance
+TIE_K = 3
+TIE_GRID = GridSpec(
+    epsilon_grid=[0.0, 0.01], alpha_grid=[0.0, 50.0],
+    lambda_grid=[0.0] + [TIE_K * (gap + sign * offset * _TIE_TOL)
+                         for gap in (0.3, 0.4) for sign in (-1, 1)
+                         for offset in TIE_OFFSETS])
+
+
 def shape_args(source, candidates, kind, exposure, request):
-    """run_grid's arguments on the toy fixture or the synthetic inputs."""
+    """run_grid's arguments on the toy fixture, the synthetic inputs or
+    the tie inputs."""
+    if source == "ties":
+        validation, cands, reps, groups, categories = \
+            request.getfixturevalue("tie_inputs")
+        return (validation, cands[candidates], reps, groups, categories,
+                RerankConfig(k=TIE_K, n=12, objective_kind=kind,
+                             exposure=ExposureModel(exposure)), TIE_GRID)
     if source == "toy":
         cands = request.getfixturevalue(
             "toy_cands" if candidates == "unified" else "toy_combined_cands")
@@ -532,7 +558,7 @@ class TestColumnWalk:
     cannot fill it; every point must still match a fresh solve."""
 
     @pytest.mark.parametrize("kind, exposure, candidates", SHAPES)
-    @pytest.mark.parametrize("source", ["toy", "synth"])
+    @pytest.mark.parametrize("source", ["toy", "synth", "ties"])
     def test_matches_per_point_solves(self, source, kind, exposure,
                                       candidates, tmp_path, request):
         args = shape_args(source, candidates, kind, exposure, request)
@@ -573,8 +599,12 @@ class TestColumnWalk:
         keys = {(p.user_id, problem_key(p)) for ps in built for p in ps}
         per_point = n_users(cands, split) * len(configs)
         if candidates == "combined":
-            # every distinct problem once: equal H(theta) splits share it
-            assert len(solved) == len(keys) < per_point
+            # each distinct problem at most once: equal H(theta) splits
+            # share it, and a previous column's answer certified at a point
+            # needs no solve there; the additive grid certifies some
+            assert len(solved) <= len(keys) < per_point
+            if kind == "raif" and exposure == "uniform":
+                assert len(solved) < len(keys)
         elif kind == "raif" and exposure == "uniform":
             # per user and column (the baseline is one of its own), a solve
             # starts a run of equal answers or serves a point whose answer
@@ -595,6 +625,34 @@ class TestColumnWalk:
             assert len(dp) == n_users(cands, split) * sum(
                 p.alpha > 0 for p, _ in result.results)
 
+    def test_each_pool_settles_on_its_own(self, counted):
+        # every repeat candidate scores below every explore one, and the
+        # split takes one repeat and two explore items: no basket settles
+        # across the pools, yet each pool's part settles within its pool,
+        # so each column after the first takes the previous one's answers
+        users = [f"u{u}" for u in range(4)]
+        cands = CandidateSet(
+            kind="combined",
+            repeat_list={u: rank_pairs([("r1", 0.3), ("r2", 0.2), ("r3", 0.1)])
+                         for u in users},
+            explore_list={u: rank_pairs([("x1", 1.0), ("x2", 0.9),
+                                         ("x3", 0.8)]) for u in users})
+        items = ["r1", "r2", "r3", "x1", "x2", "x3"]
+        validation = SplitDataset(BasketDataset([]), {u: frozenset({"x3"})
+                                                      for u in users},
+                                  "validation")
+        # no candidate is popular: the fairness weight moves all alike
+        result = run_grid(validation, cands, {},
+                          ItemGroups({"p"}, set(items)),
+                          {i: "c" for i in items},
+                          RerankConfig(k=3, n=3, objective_kind="raif",
+                                       exposure=ExposureModel("uniform")),
+                          GridSpec(alpha_grid=[0.0, 1.0, 10.0],
+                                   theta_grid=[0.25]))
+        assert [r.recall for _, r in result.results] == [0.0] * 3
+        # the baseline, and the first column
+        assert counted["solves"] == 2 * len(users)
+
     def test_solver_errors_name_the_user(self, monkeypatch, toy_validation,
                                          toy_cands, toy_reps, toy_groups,
                                          toy_categories):
@@ -613,10 +671,10 @@ class TestColumnWalk:
 
 class TestScan:
     """``tuner._scan`` along one column: the points it solves, and the
-    points it only asks to certify an answer solved earlier."""
+    points it only asks to certify an answer found earlier."""
 
     @staticmethod
-    def scan(answers, uncertified=()):
+    def scan(answers, uncertified=(), hints=None, split=None):
         """Point i solves to ``answers[i]`` and certifies those items alone,
         unless it is ``uncertified``: (items, solved, certified points)."""
         solved, certified = [], []
@@ -625,12 +683,12 @@ class TestScan:
             solved.append(i)
             return answers[i]
 
-        def token(i, items):
+        def settles(i, items):
             certified.append(i)
-            return (items if i not in uncertified and items == answers[i]
-                    else None)
+            return i not in uncertified and items == answers[i]
 
-        items = tuner._scan(len(answers), lambda i: i, solve_at, token)
+        items = tuner._scan(len(answers), lambda i: i, solve_at, settles,
+                            split, hints)
         return items, solved, certified
 
     def test_one_answer_fills_the_column(self):
@@ -660,3 +718,43 @@ class TestScan:
     def test_one_point(self):
         assert self.scan(["a"]) == (["a"], [0], [0])
         assert self.scan(["a"], uncertified={0}) == (["a"], [0], [0])
+
+    def test_a_certified_hint_is_taken(self):
+        # the hint at point 0 settles there: no solve, and the run goes on
+        # from it as from a solved answer
+        answers = ["a"] * 3 + ["b"] * 2
+        items, solved, certified = self.scan(answers, hints=answers)
+        assert items == answers
+        assert solved == []
+        # a hint's certificate is its token there: asked once
+        assert certified == [0, 4, 2, 3, 3, 4]
+
+    def test_an_uncertified_hint_is_refused(self):
+        # the hint does not settle at point 0 (another answer, or the right
+        # one uncertified there): the point is solved
+        answers = ["a"] * 3 + ["b"] * 2
+        items, solved, _ = self.scan(answers, hints=["b"] * 5)
+        assert items == answers
+        assert solved == [0]
+        items, solved, certified = self.scan(answers, uncertified={0},
+                                             hints=["a"] * 5)
+        assert items == answers
+        assert solved == [0, 3]
+        # the hint, then the solved answer: neither settles at 0
+        assert certified[:2] == [0, 0]
+
+    def test_a_split_is_the_token(self):
+        # on a theta column equal splits share the answer, certified or not;
+        # the hint still needs its certificate
+        answers = ["a", "a", "a", "b", "b"]
+        split = [1, 1, 1, 2, 2].__getitem__
+        items, solved, certified = self.scan(answers, uncertified={0, 1, 2},
+                                             split=split)
+        assert items == answers
+        assert solved == [0, 3]
+        assert certified == []
+        items, solved, certified = self.scan(answers, uncertified={3},
+                                             hints=answers, split=split)
+        assert items == answers
+        assert solved == [3]
+        assert certified == [0, 3]
