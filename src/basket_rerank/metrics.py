@@ -11,7 +11,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .dataset import ItemGroups, RepeatSets, SplitDataset
+from .dataset import (ItemGroups, RepeatSets, SplitDataset,
+                      ground_truth_repeat_ratio)
 from .errors import DataError
 from .objective import ExposureModel, RerankConfig
 from .solver import RerankedBaskets
@@ -131,20 +132,24 @@ def diversity_score(baskets, categories: dict[str, str], k: int) -> float:
 def group_exposure(baskets, groups: ItemGroups, exposure: ExposureModel
                    ) -> tuple[float, float]:
     """Average position-weighted exposure of the popular and unpopular
-    groups. Items never recommended contribute 0."""
+    groups. Items never recommended contribute 0, and an empty group's
+    average is 0, as its fairness coefficient is."""
     lists = _basket_lists(baskets)
     table = exposure.weights(max(map(len, lists.values()), default=0))
     item_exposure: dict[str, float] = {}
     for basket in lists.values():
         for item, e in zip(basket, table):
             item_exposure[item] = item_exposure.get(item, 0.0) + e
-    # fsum is exactly rounded, so the totals do not depend on the order in
-    # which the group sets iterate (which varies with the string hash seed)
-    e1 = math.fsum(v for i, v in item_exposure.items()
-                   if i in groups.popular) / len(groups.popular)
-    e2 = math.fsum(v for i, v in item_exposure.items()
-                   if i in groups.unpopular) / len(groups.unpopular)
-    return e1, e2
+
+    def mean(group: set[str]) -> float:
+        # fsum is exactly rounded, so the total does not depend on the order
+        # in which the group set iterates (which varies with the hash seed)
+        if not group:
+            return 0.0
+        return math.fsum(v for i, v in item_exposure.items()
+                         if i in group) / len(group)
+
+    return mean(groups.popular), mean(groups.unpopular)
 
 
 def log_dp(e1: float, e2: float, base: float = math.e) -> float:
@@ -186,7 +191,6 @@ def evaluate(baskets, targets: SplitDataset, reps: RepeatSets,
                                 {u: targets.eval_targets[u] for u in lists
                                  if u in targets.eval_targets},
                                 targets.split_label)
-        from .dataset import ground_truth_repeat_ratio
         rep_ratio_gt = ground_truth_repeat_ratio(gt_scope, reps)
 
     recall = recall_at_k(lists, targets)

@@ -22,13 +22,12 @@ radiv at K=20 1.37-1.41x slower. ``_fill_ties`` answers fixed counts
 without ``_walk_ties``: the walk is 1.26-1.35x slower there.
 
 Every path rejects a pool with fewer candidates than slots
-(``_checked_pools``). Two helpers serve the tuner's grids: ``narrowed``
-drops the candidates that the closed form chooses under none of a set of
-additive weightings, and ``settled`` certifies an answer at an additive
-problem, deciding on the answer's ``frontier``: an answer of one of a
-user's problems is ``solve``'s answer at each other problem of the user,
-with the same slot split, where it settles; and one settled at two repeat
-weights is the answer at every weight between.
+(``_checked_pools``). One helper serves the tuner's grids: ``settled``
+certifies an answer at an additive problem, deciding on the answer's
+``frontier``: an answer of one of a user's problems is ``solve``'s answer
+at each other problem of the user, with the same slot split, where it
+settles; and one settled at two repeat weights is the answer at every
+weight between.
 
 One tie rule holds on every path: a selection wins when its
 objective is higher by more than ``_TIE_TOL``; otherwise the
@@ -43,7 +42,7 @@ import math
 import operator
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import SolverError, UsageError
@@ -448,66 +447,6 @@ def _adjusted_values(problem: RerankProblem) -> list[float]:
                                       problem.fairness_coef)]
 
 
-def narrowed(problems: list[RerankProblem], points: list[RerankProblem]
-             ) -> list[RerankProblem]:
-    """``problems`` without each candidate that ``solve`` chooses under none
-    of the weightings of ``points`` (one user's problem re-weighted per
-    grid point: every user shares the weights).
-
-    Only additive weightings narrow. With a coverage term a candidate's
-    worth depends on the others chosen, and with a position-dependent one
-    on its basket position (the exposure DP can choose a candidate with K
-    better ones of its class), so then every problem stays whole.
-
-    A candidate goes when K candidates ahead of it share its repeat flag
-    and fairness coefficient, each more relevant by over ``_margin``. Its
-    adjusted value is then more than ``_TIE_TOL`` below theirs at every
-    weighting, rounding included. Its pool holds those K and has at most K
-    slots, so the candidate is below the pool's cut by more than
-    ``_TIE_TOL``: in no answer and no tie group. The narrowed problem has
-    the same answer, scored from the same items in the same order.
-    """
-    if not points or any(p.epsilon_eff or _position_dependent(p)
-                         for p in points):
-        return problems
-    margin = _margin(problems, points)
-    out = []
-    for p in problems:
-        relevance = p.relevance
-        # each class's first K relevances; candidates are in relevance-desc
-        # order, so the last is the least
-        ahead: dict[tuple, list[float]] = {}
-        keep = []
-        for j, cls in enumerate(zip(p.is_repeat, p.fairness_coef)):
-            rels = ahead.setdefault(cls, [])
-            if len(rels) < p.k:
-                rels.append(relevance[j])
-            elif rels[-1] > relevance[j] + margin:
-                continue
-            keep.append(j)
-        if len(keep) < p.n_candidates:
-            p = replace(p, **{name: [getattr(p, name)[j] for j in keep]
-                              for name in ("items", "relevance", "is_repeat",
-                                           "category", "fairness_coef")})
-        out.append(p)
-    return out
-
-
-def _margin(problems: list[RerankProblem], points: list[RerankProblem]
-            ) -> float:
-    """The relevance gap ``narrowed`` asks of each of the K candidates
-    ahead: ``_TIE_TOL`` at the smallest relevance scale, plus room for the
-    few roundings of each adjusted value and of the cut's comparison,
-    2^-44 of a bound on |adjusted value| plus 1."""
-    rel = max((abs(r) for p in problems for r in p.relevance), default=0.0)
-    coef = max((abs(c) for p in problems for c in p.fairness_coef),
-               default=0.0)
-    bound = max(p.rel_scale * rel + abs(p.signed_lambda) / p.k
-                + abs(p.alpha_eff) * coef for p in points)
-    return ((_TIE_TOL + 2.0 ** -44 * (bound + 1))
-            / min(p.rel_scale for p in points))
-
-
 class Frontier(NamedTuple):
     """The candidates that decide ``settled`` for one answer, at every
     weighting of one user's candidates and slot split, each as its block
@@ -586,10 +525,12 @@ def settled(problem: RerankProblem, items: tuple[str, ...],
     candidate's adjusted value exceeds every unchosen one's by more than
     ``_TIE_TOL`` plus a rounding room, except for pairs within one block:
     candidates with equal repeat flag, relevance and fairness coefficient,
-    whose adjusted values are bit-equal at every weighting. The room, 2^-44
-    of a bound on an adjusted value's terms plus 1 (as in ``_margin``),
-    covers the few roundings of each adjusted value. Pools are cut apart,
-    so no pair spans two.
+    whose adjusted values are bit-equal at every weighting. The room,
+    2^-44 * (rel_scale * max |relevance| + |signed_lambda| / K
+    + alpha * max |fairness coefficient| + 1), that is 2^-44 of a bound on
+    an adjusted value's terms plus 1, covers the few roundings of each
+    adjusted value and of the comparison. Pools are cut apart, so no pair
+    spans two.
 
     Theorem 1 (an answer carries). Let p and q be two additive problems
     with the same candidates and slot split, and ``items`` be ``solve(p)``.

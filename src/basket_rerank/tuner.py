@@ -46,17 +46,6 @@ filled point carries a stale objective. The scan holds two columns at a
 time, the one it fills and the one before: users x column length items,
 twice.
 
-Once per call, when every grid point's problem is additive (no diversity
-weight, and a fairness term only with uniform exposure), each built problem
-also drops every candidate that no point can choose (``solver.narrowed``):
-one with K candidates ahead of it with the same repeat flag and fairness
-coefficient, each more relevant by a margin that keeps its adjusted value
-more than the solver's tie tolerance below theirs at every point. Every
-point then solves the same baskets, with the same objectives, from about
-half the candidates. Radiv grids (with a diversity weight) and the exposure
-DP's (raif with log-discount exposure) stay whole: there a candidate's
-worth depends on the categories chosen with it or on its basket position.
-
 Besides its solves, a point makes one ``RerankProblem`` per user that
 shares the built candidate lists, finds H(theta) by bisection on the ranked
 repeat list, and copies a reused report's config shallowly
@@ -82,7 +71,7 @@ from .metrics import MetricsReport, evaluate
 from .objective import (RerankConfig, RerankProblem, build_problems,
                         choose_sign_mode, original_topk, reweighted)
 from .scorer import CandidateSet
-from .solver import Frontier, narrowed, rerank_all, settled, solve
+from .solver import Frontier, rerank_all, settled, solve
 
 P = TypeVar("P")
 
@@ -229,14 +218,12 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
     and the result is flagged infeasible. Each point sets ``cfg``'s weights,
     theta and sign mode (from the validation repeat ratio) itself.
 
-    Before the first point, the problems drop each candidate that no point
-    can choose (``solver.narrowed``, additive grids only). Then each user
-    scans each weight's column of points (``_scan``): a user is solved only
-    at the first point of each stretch that one answer fills, unless the
-    previous column's answer there settles (``solver.settled``). Equal
-    basket sets share one report. The sweep and the chosen config are those
-    of a solve at every point. A solve that fails raises SolverError naming
-    the user."""
+    Each user scans each weight's column of points (``_scan``): a user is
+    solved only at the first point of each stretch that one answer fills,
+    unless the previous column's answer there settles (``solver.settled``).
+    Equal basket sets share one report. The sweep and the chosen config are
+    those of a solve at every point. A solve that fails raises SolverError
+    naming the user."""
     if cfg.objective_kind not in ("radiv", "raif"):
         raise UsageError("run_grid tunes radiv or raif objectives only")
     if split.split_label != "validation":
@@ -264,10 +251,6 @@ def run_grid(split: SplitDataset, cands: CandidateSet, reps: RepeatSets,
                    cfg.objective_kind, cands.kind, grid, theta_default)]
     problems = build_problems(cands, reps, groups, categories, baseline_cfg,
                               split)
-    # all users share a point's weights: one user's problems show them
-    points = [p for c in (baseline_cfg, *configs)
-              for p in reweighted(problems[:1], cands, c)]
-    problems = narrowed(problems, points)
 
     # basket set (each user's items, in user-id order) -> its report. Every
     # point of one call shares K, exposure, omega, log base and

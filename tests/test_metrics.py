@@ -177,6 +177,20 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate({}, split, {}, ItemGroups({"a"}, {"b"}), {}, cfg)
 
+    @pytest.mark.parametrize("groups", [ItemGroups(set(), {"a", "b"}),
+                                        ItemGroups({"a", "b"}, set())])
+    def test_an_empty_item_group_has_no_exposure(self, groups):
+        # as its fairness coefficient is 0, an empty group's mean exposure
+        # is 0, and every metric stays finite
+        split = split_with({"u1": {"a"}, "u2": {"c"}})
+        cfg = RerankConfig(k=2, n=2, exposure=ExposureModel("uniform"))
+        report = evaluate({"u1": ["a", "b"], "u2": ["b", "a"]}, split, {},
+                          groups, {}, cfg)
+        e1, e2 = (2.0, 0.0) if groups.popular else (0.0, 2.0)
+        assert report.log_dp == log_dp(e1, e2, cfg.log_base)
+        assert all(math.isfinite(v) for v in report.to_dict().values()
+                   if isinstance(v, float))
+
     def test_user_weighted_mean_decomposition(self):
         # recall/ds/rep_ratio of the full set equal the user-count-weighted
         # mean of two disjoint subsets (exposure metrics aggregate globally)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import math
 
 import pytest
 
@@ -244,6 +245,23 @@ class TestRunGrid:
         assert [r.to_dict() for _, r in runs[0].results] == \
             [r.to_dict() for _, r in runs[1].results]
 
+    @pytest.mark.parametrize("exposure", ["uniform", "log_discount"])
+    def test_an_empty_item_group(self, exposure, toy_validation, toy_cands,
+                                 toy_reps, toy_categories):
+        # no popular item: every fairness coefficient is one constant, and
+        # the popular group's mean exposure is 0 at every point
+        items = {i for pairs in toy_cands.unified.values() for i, _ in pairs}
+        args = (toy_validation, toy_cands, toy_reps, ItemGroups(set(), items),
+                toy_categories,
+                base_cfg("raif", exposure=ExposureModel(exposure)),
+                small_grid())
+        result = run_grid(*args)
+        best, results, _ = reference_grid(*args)
+        assert [(p.snapshot(), r.to_dict()) for p, r in result.results] == \
+            [(p.snapshot(), r.to_dict()) for p, r in results]
+        assert result.best.snapshot() == best.snapshot()
+        assert all(math.isfinite(r.log_dp) for _, r in result.results)
+
 
 def reference_grid(split, cands, reps, groups, categories, cfg, grid):
     """``run_grid`` rebuilt on the public ``rerank_and_evaluate``, which
@@ -396,33 +414,6 @@ class TestBuildOnce:
                 for name in ("items", "relevance", "is_repeat", "category",
                              "fairness_coef"):
                     assert getattr(new, name) is getattr(old, name)
-
-
-class TestNarrowing:
-    """``run_grid`` solves problems without the candidates no point can
-    choose when every point is additive (``solver.narrowed``)."""
-
-    @pytest.mark.parametrize("kind, exposure, narrowed", [
-        ("raif", "log_discount", False), ("raif", "uniform", True),
-        ("radiv", "uniform", False)])
-    def test_only_additive_grids_narrow(
-            self, kind, exposure, narrowed, monkeypatch, toy_validation,
-            toy_cands, toy_reps, toy_groups, toy_categories):
-        sizes = []
-        solve = tuner.solve
-
-        def recording(problem):
-            sizes.append((problem.user_id, problem.n_candidates))
-            return solve(problem)
-
-        monkeypatch.setattr(tuner, "solve", recording)
-        # at K = 2 some toy users have dominated candidates
-        run_grid(toy_validation, toy_cands, toy_reps, toy_groups,
-                 toy_categories, base_cfg(kind, k=2, exposure=ExposureModel(
-                     exposure)), small_grid())
-        full = {u: len(toy_cands.unified[u]) for u, _ in sizes}
-        assert all(n <= full[u] for u, n in sizes)
-        assert any(n < full[u] for u, n in sizes) == narrowed
 
 
 class TestFinalEvaluate:
