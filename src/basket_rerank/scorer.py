@@ -9,9 +9,15 @@ bought before.
 
 Score files are read line by line, never whole: a whole-file read is no
 faster here and holds every line's text at once beside the parsed rows,
-which raises the peak resident size. ``save_scores`` formats each distinct
-score once per call: the built-in scores are ratios of small counts, so a
-file of many rows holds few distinct values.
+which raises the peak resident size. Each distinct ``item<TAB>score`` text
+is parsed once per file, and all its rows share one (item, score) tuple:
+explore scores are item-level, so most rows repeat another user's text
+(the benchmark's ``pipeline`` unified file has 60,000 rows and 5,919
+distinct texts, the ``rerank-ties`` explore file 36,469 and 841), and a
+file is read in time and memory that grow with its distinct texts.
+``save_scores`` formats each distinct score once per call: the built-in
+scores are ratios of small counts, so a file of many rows holds few
+distinct values.
 """
 from __future__ import annotations
 
@@ -80,38 +86,52 @@ class CandidateSet:
 def _read_scores_tsv(path: str) -> dict[str, ScoreList]:
     """Each user's (item, score) rows in file order.
 
+    Each line is split once at its first tab. The rest of it, the
+    ``item<TAB>score`` text, is parsed and checked once per call: its
+    (item, score) pair is kept under that text, and every later line with
+    the same text, for any user, gets the same tuple. Explore scores are
+    shared by every user, so most rows repeat another user's text (the
+    pipeline's unified file: 60,000 rows, 5,919 distinct texts). A text
+    that does not parse is never kept, so it raises at its first line.
+
     A malformed line raises as it is read. Duplicate (user, item) rows are
     looked for once the file is read, one set per user; only when there is
     one is the file read again, for the line of the first. So a duplicate
     before a malformed line reports the malformed line.
     """
     per_user: dict[str, ScoreList] = {}
+    pairs: dict[str, tuple[str, float]] = {}
     uid = rows = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            try:
-                # float() ignores the newline left on the last field
-                row_uid, item, raw = line.split("\t")
-                score = float(raw)
-            except ValueError as exc:
-                parts = line.rstrip("\n").split("\t")
-                if parts == [""]:
-                    continue
-                if len(parts) != 3:
+            row_uid, _, text = line.partition("\t")
+            pair = pairs.get(text)
+            if pair is None:
+                try:
+                    # float() ignores the newline left on the last field
+                    item, raw = text.split("\t")
+                    score = float(raw)
+                except ValueError as exc:
+                    parts = line.rstrip("\n").split("\t")
+                    if parts == [""]:
+                        continue
+                    if len(parts) != 3:
+                        raise DataError(
+                            f"{path}:{lineno}: expected 3 tab-separated fields"
+                        ) from None
                     raise DataError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields") from None
-                raise DataError(f"{path}:{lineno}: bad score {parts[2]!r}") from exc
-            if not math.isfinite(score):
-                raise DataError(
-                    f"{path}:{lineno}: non-finite score for ({row_uid},{item})")
+                        f"{path}:{lineno}: bad score {parts[2]!r}") from exc
+                if not math.isfinite(score):
+                    raise DataError(
+                        f"{path}:{lineno}: non-finite score for ({row_uid},{item})")
+                # one string per item id, shared by every user's list
+                pair = pairs[text] = (sys.intern(item), score)
             if row_uid != uid:
                 uid = row_uid
                 rows = per_user.get(uid)
                 if rows is None:
                     rows = per_user[uid] = []
-            # one string per item id, shared by every user's list: ids
-            # repeat across users, so this keeps a fraction of the copies
-            rows.append((sys.intern(item), score))
+            rows.append(pair)
     if not per_user:
         raise DataError(f"{path}: no score rows")
     if any(len(set(map(_ID, rows))) != len(rows) for rows in per_user.values()):
@@ -151,7 +171,7 @@ def import_scores(path: str, kind: str = "unified", n: int = 100,
             raise DataError("combined import needs both a repeat and an explore file")
         rep = _ranked_in_place(_read_scores_tsv(path), n)
         exp = _ranked_in_place(_read_scores_tsv(explore_path), n)
-        for uid in set(rep) & set(exp):
+        for uid in sorted(rep.keys() & exp.keys()):
             overlap = {i for i, _ in rep[uid]} & {i for i, _ in exp[uid]}
             if overlap:
                 raise DataError(

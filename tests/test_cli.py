@@ -627,6 +627,21 @@ class TestBadInputExitCodes:
         assert err.splitlines() == [
             f"usage error: {flags[0]} is not read with unified scores"]
 
+    def test_rerank_non_finite_score_on_several_lines(self, tmp_path):
+        # one non-finite row text for three users: the first line names it
+        with open(toy_path("scores_unified.tsv")) as fh:
+            lines = fh.readlines()
+        for lineno in (20, 50, 80):
+            lines[lineno - 1] = lines[lineno - 1].split("\t")[0] + "\ti999\tinf\n"
+        scores = write_text(tmp_path / "scores.tsv", "".join(lines))
+        argv = rerank_args(tmp_path / "b.tsv")
+        argv[argv.index("--scores") + 1] = scores
+        got, _, err = run_process(*argv)
+        uid = lines[19].split("\t")[0]
+        assert got == 2 and "Traceback" not in err
+        assert err.splitlines() == [
+            f"data error: {scores}:20: non-finite score for ({uid},i999)"]
+
     def test_score_n_zero(self, tmp_path):
         got, _, err = run_process("score", "--train", toy_path("train.jsonl"),
                                   "--n", "0", "--out", str(tmp_path))

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from basket_rerank.dataset import build_repeat_sets
 from basket_rerank.errors import DataError
-from basket_rerank.scorer import (import_scores, make_unified, missing_users,
-                                  rank_pairs, save_scores,
-                                  score_explore_popularity,
+from basket_rerank.scorer import (_read_scores_tsv, import_scores,
+                                  make_unified, missing_users, rank_pairs,
+                                  save_scores, score_explore_popularity,
                                   score_repeat_topfreq)
+from tests.conftest import examples
+from tests.oracle import read_scores_tsv
 from tests.test_dataset import make_ds
 
 
@@ -78,6 +80,26 @@ class TestImportScores:
         exp = write_tsv(tmp_path, [("u1", "a", 0.4)], "exp.tsv")
         with pytest.raises(DataError, match="both"):
             import_scores(rep, "combined", explore_path=exp)
+
+    def test_combined_overlap_names_the_first_user(self, tmp_path):
+        # every user overlaps: the error names the first in id order,
+        # whatever the hash seed
+        users = [f"u{j}" for j in range(30)]
+        rep = write_tsv(tmp_path, [(u, "a", 0.5) for u in users], "rep.tsv")
+        exp = write_tsv(tmp_path, [(u, "a", 0.4) for u in users], "exp.tsv")
+        with pytest.raises(DataError, match=r"^user 'u0': items \['a'\]"):
+            import_scores(rep, "combined", explore_path=exp)
+
+    def test_rows_with_equal_text_share_one_pair(self, tmp_path):
+        # equal text after the user id: one tuple; equal values written
+        # differently (1 and 1.0, 0.5 and 0.50) stay apart
+        path = write_tsv(tmp_path, [
+            ("u1", "a", "0.5"), ("u1", "b", "1.0"), ("u2", "a", "0.5"),
+            ("u2", "b", "1"), ("u3", "b", "1.0"), ("u3", "a", "0.50")])
+        per_user = _read_scores_tsv(path)
+        assert per_user["u1"][0] is per_user["u2"][0]
+        assert per_user["u1"][1] is per_user["u3"][0]
+        assert len({id(p) for rows in per_user.values() for p in rows}) == 4
 
     def test_missing_users_flagged(self, tmp_path):
         path = write_tsv(tmp_path, [("u1", "a", 0.5)])
@@ -253,3 +275,61 @@ def test_save_import_round_trip(tmp_path_factory, scores):
             for u, rows in cands.unified.items()} == \
         {u: [(i, repr(s)) for i, s in rank_pairs(list(rows.items()))]
          for u, rows in scores.items()}
+
+
+_ROW_TEXTS = ["0.0", "-0.0", "1", "1.0", "0.5", "2.5e-1"]
+# a bad score, a non-finite one, or a wrong field count, in the text after
+# the user id
+_BAD_TEXTS = ["a\tx", "b\t", "a\tnan", "c\tinf", "b\t-1e999", "a",
+              "a\t1.0\t1.0", ""]
+
+
+@st.composite
+def score_files(draw):
+    """Score file text: rows that repeat their item and score text across
+    users, blank lines, at times a duplicate (user, item) row and one
+    faulty text on one or more lines, and at times no last newline."""
+    users, items = ["u0", "u1", "u2", "u10"], ["a", "b", "c", "d"]
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(users), st.sampled_from(items),
+                  st.sampled_from(_ROW_TEXTS)),
+        max_size=14, unique_by=lambda r: r[:2]))
+    lines = [f"{u}\t{i}\t{s}" for u, i, s in rows]
+    if rows and draw(st.booleans()):
+        u, i, _ = draw(st.sampled_from(rows))
+        lines.insert(draw(st.integers(0, len(lines))), f"{u}\t{i}\t0.5")
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(_BAD_TEXTS))
+        for u in draw(st.lists(st.sampled_from(users), min_size=1, max_size=3)):
+            lines.insert(draw(st.integers(0, len(lines))),
+                         f"{u}\t{bad}" if bad else u)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), "")
+    text = "\n".join(lines)
+    return text + "\n" if draw(st.booleans()) else text
+
+
+def _read_outcome(read, path):
+    """What a reader makes of a file: its users' rows in file order with
+    each score's repr, or its error message."""
+    try:
+        return [(u, [(i, repr(s)) for i, s in rows])
+                for u, rows in read(path).items()]
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def score_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scores")
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(text=score_files())
+def test_reader_matches_reference(score_dir, text):
+    # the reader parses each distinct row text once; the reference parses
+    # every line: same rows, same score bits, or the same error
+    path = score_dir / "s.tsv"
+    path.write_text(text)
+    assert _read_outcome(_read_scores_tsv, str(path)) \
+        == _read_outcome(read_scores_tsv, str(path))
